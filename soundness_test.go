@@ -3,6 +3,7 @@ package mtracecheck
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -84,12 +85,15 @@ func TestNoFalsePositivesSweep(t *testing.T) {
 	}
 }
 
-// TestEngineGoldenSignatures is the typed-event engine's bit-identity
-// guard: fixed-seed campaigns — clean and fault-injected, on both platform
-// presets, at one and four workers — must reproduce, byte for byte, the
-// signature files and report digests recorded before the closure-based
-// discrete-event engine was replaced (PR 10). Any drift in RNG draw order,
-// event tie-breaking, or completion sequencing shows up here first.
+// TestEngineGoldenSignatures is the engine's bit-identity guard: fixed-seed
+// campaigns — clean and fault-injected on both platform presets, the SC and
+// PSO variants of the x86 timing, OS scheduling with more threads than
+// cores, and the §7 bug platforms, at one and four workers — must
+// reproduce, byte for byte, the recorded signature files and report
+// digests. The x86/ARM clean and faulted goldens predate the typed-event
+// engine; the rest were recorded on it before the timing-wheel queue. Any
+// drift in RNG draw order, event tie-breaking, or completion sequencing
+// shows up here first.
 //
 // Regenerate the goldens with MTC_UPDATE_GOLDENS=1 (only ever legitimate
 // for a change that intentionally alters simulated timing).
@@ -102,19 +106,30 @@ func TestEngineGoldenSignatures(t *testing.T) {
 		}
 	}
 	p := testgen.MustGenerate(TestConfig{Threads: 4, OpsPerThread: 40, Words: 8, Seed: 5})
+	// Six threads on four cores: OS mode must rotate and migrate them.
+	wide := testgen.MustGenerate(TestConfig{Threads: 6, OpsPerThread: 40, Words: 8, Seed: 5})
+	// Bug 1 needs false sharing to fire: four words per cache line.
+	shared := testgen.MustGenerate(TestConfig{Threads: 4, OpsPerThread: 40, Words: 8, WordsPerLine: 4, Seed: 5})
 	faults := FaultConfig{
 		Seed: 99, BitFlip: 0.05, Truncate: 0.03, Duplicate: 0.05, OutOfRange: 0.03,
 		ShardPanic: 0.1, ShardStall: 0.05, StallFor: time.Millisecond,
 	}
+	withModel := func(p Platform, m mcm.Model) Platform { p.Model = m; return p }
 	cases := []struct {
 		name  string
 		plat  Platform
+		prog  *Program
 		fault FaultConfig
 	}{
-		{"x86_clean", PlatformX86(), FaultConfig{}},
-		{"x86_fault", PlatformX86(), faults},
-		{"arm_clean", PlatformARM(), FaultConfig{}},
-		{"arm_fault", PlatformARM(), faults},
+		{"x86_clean", PlatformX86(), p, FaultConfig{}},
+		{"x86_fault", PlatformX86(), p, faults},
+		{"arm_clean", PlatformARM(), p, FaultConfig{}},
+		{"arm_fault", PlatformARM(), p, faults},
+		{"x86_os", WithOS(PlatformX86()), wide, FaultConfig{}},
+		{"x86_sc", withModel(PlatformX86(), mcm.SC), p, FaultConfig{}},
+		{"x86_pso", withModel(PlatformX86(), mcm.PSO), p, FaultConfig{}},
+		{"gem5_bug1", BuggyPlatform(BugSMInv), shared, FaultConfig{}},
+		{"gem5_bug2", BuggyPlatform(BugLSQSkip), p, FaultConfig{}},
 	}
 	for _, c := range cases {
 		for _, workers := range []int{1, 4} {
@@ -122,11 +137,11 @@ func TestEngineGoldenSignatures(t *testing.T) {
 				Platform: c.plat, Iterations: 512, Seed: 31, Workers: workers,
 				ShardRetries: 2, Fault: c.fault,
 			}
-			report, err := RunProgram(p, opts)
+			report, err := RunProgram(c.prog, opts)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", c.name, workers, err)
 			}
-			uniques, err := CollectSignatures(p, opts)
+			uniques, err := CollectSignatures(c.prog, opts)
 			if err != nil {
 				t.Fatalf("%s workers=%d: collect: %v", c.name, workers, err)
 			}
@@ -139,33 +154,93 @@ func TestEngineGoldenSignatures(t *testing.T) {
 				report.Iterations, report.UniqueSignatures, report.TotalCycles,
 				report.Squashes, len(report.Violations), len(report.Quarantined),
 				len(report.AssertionFailures), len(report.ShardFailures))
-			sigPath := filepath.Join(dir, c.name+".sigs")
-			digPath := filepath.Join(dir, c.name+".digest")
-			if update && workers == 1 {
-				if err := os.WriteFile(sigPath, sigBuf.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(digPath, []byte(digest), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			wantSigs, err := os.ReadFile(sigPath)
-			if err != nil {
-				t.Fatalf("%s: missing golden (run with MTC_UPDATE_GOLDENS=1): %v", c.name, err)
-			}
-			if !bytes.Equal(sigBuf.Bytes(), wantSigs) {
-				t.Errorf("%s workers=%d: signature file differs from pre-engine-swap golden (%d vs %d bytes)",
-					c.name, workers, sigBuf.Len(), len(wantSigs))
-			}
-			wantDig, err := os.ReadFile(digPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if digest != string(wantDig) {
-				t.Errorf("%s workers=%d: report digest differs from golden:\n got %s want %s",
-					c.name, workers, digest, wantDig)
-			}
+			compareEngineGolden(t, dir, c.name, fmt.Sprintf("workers=%d", workers),
+				update && workers == 1, sigBuf.Bytes(), digest)
 		}
+	}
+
+	// Bug 3 deadlocks the protocol, and a campaign aborts at its first
+	// crash. Its golden is therefore a tally over the campaign's seed
+	// stream: how many iterations crashed, and the signatures and counters
+	// of the ones that completed.
+	hot := testgen.MustGenerate(TestConfig{
+		Threads: 7, OpsPerThread: 60, Words: 64, LoadRatio: 0.3, Seed: 3,
+	})
+	plat := BuggyPlatform(BugWBRace)
+	meta, err := instrument.Analyze(hot, plat.RegWidthBits, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner, err := sim.NewRunner(plat, hot, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := sig.NewSet()
+	var deadlocks, livelocks, cycles, squashes, events int
+	seeds := sim.SeedTable(31, 256)
+	for i, seed := range seeds {
+		ex, err := runner.RunSeeded(seed)
+		switch {
+		case errors.Is(err, sim.ErrDeadlock):
+			deadlocks++
+			continue
+		case errors.Is(err, sim.ErrLivelock):
+			livelocks++
+			continue
+		case err != nil:
+			t.Fatalf("gem5_bug3 iteration %d: %v", i, err)
+		}
+		cycles += int(ex.Cycles)
+		squashes += ex.Squashes
+		events += ex.Events
+		s, err := meta.EncodeValues(ex.LoadValues)
+		if err != nil {
+			t.Fatalf("gem5_bug3 iteration %d: %v", i, err)
+		}
+		set.Add(s)
+	}
+	if deadlocks+livelocks == 0 {
+		t.Fatal("gem5_bug3: no crashes; the golden would not cover the crash path")
+	}
+	var sigBuf bytes.Buffer
+	if err := sig.WriteSet(&sigBuf, set.Sorted()); err != nil {
+		t.Fatal(err)
+	}
+	digest := fmt.Sprintf(
+		"iters=%d crashes=%d deadlocks=%d livelocks=%d uniques=%d cycles=%d squashes=%d events=%d\n",
+		len(seeds), deadlocks+livelocks, deadlocks, livelocks, set.Len(), cycles, squashes, events)
+	compareEngineGolden(t, dir, "gem5_bug3", "tally", update, sigBuf.Bytes(), digest)
+}
+
+// compareEngineGolden checks one engine golden's signature file and digest,
+// first writing them when update is set.
+func compareEngineGolden(t *testing.T, dir, name, variant string, update bool, sigs []byte, digest string) {
+	t.Helper()
+	sigPath := filepath.Join(dir, name+".sigs")
+	digPath := filepath.Join(dir, name+".digest")
+	if update {
+		if err := os.WriteFile(sigPath, sigs, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(digPath, []byte(digest), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantSigs, err := os.ReadFile(sigPath)
+	if err != nil {
+		t.Fatalf("%s: missing golden (run with MTC_UPDATE_GOLDENS=1): %v", name, err)
+	}
+	if !bytes.Equal(sigs, wantSigs) {
+		t.Errorf("%s %s: signature file differs from golden (%d vs %d bytes)",
+			name, variant, len(sigs), len(wantSigs))
+	}
+	wantDig, err := os.ReadFile(digPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if digest != string(wantDig) {
+		t.Errorf("%s %s: report digest differs from golden:\n got %s want %s",
+			name, variant, digest, wantDig)
 	}
 }
 
