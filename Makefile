@@ -20,7 +20,9 @@ race:
 
 # Short native-fuzzing pass over the decoder and the binary readers — the
 # attack surface the fault injector corrupts — plus the checker-backend
-# differential (all backends must agree on fuzz-chosen execution sets).
+# differential (all backends must agree on fuzz-chosen execution sets) and
+# the event-queue differential (the timing wheel must pop in exactly the
+# reference heap's order).
 # Go runs one fuzz target per invocation, hence the separate lines.
 fuzz-short:
 	$(GO) test ./internal/instrument -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
@@ -30,6 +32,7 @@ fuzz-short:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzTraceParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzChunkUpload$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/corpus -run '^$$' -fuzz '^FuzzCorpusLoad$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/eventq -run '^$$' -fuzz '^FuzzQueueOrder$$' -fuzztime $(FUZZTIME)
 
 # Observability smoke: the same campaign run bare and with all three
 # observers attached must print a bit-identical report (the observers'

@@ -42,8 +42,8 @@ import (
 )
 
 // KindBase is the first event kind owned by package mem. The engine's
-// dispatch routes every event with Kind >= KindBase (below eventq.KindFunc)
-// to System.Dispatch; kinds below KindBase belong to the engine.
+// dispatch routes every event with Kind >= KindBase to System.Dispatch;
+// kinds below KindBase belong to the engine.
 const KindBase uint8 = 0x80
 
 // Event kinds scheduled by the memory system. Payload layout is private to

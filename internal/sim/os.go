@@ -53,9 +53,9 @@ func (e *engine) rotate() {
 		victim := e.threads[e.rotateIdx%n]
 		e.rotateIdx++
 		for _, t := range e.threads {
-			t.running = true
+			t.setRunning(true)
 		}
-		victim.running = false
+		victim.setRunning(false)
 		e.flushPipeline(victim)
 		e.pump()
 		return
@@ -65,19 +65,30 @@ func (e *engine) rotate() {
 		if t.running {
 			e.flushPipeline(t)
 		}
-		t.running = false
+		t.setRunning(false)
 	}
 	for i := 0; i < cores; i++ {
 		slot := (e.rotateIdx + i) % n
 		t := e.threads[slot]
-		t.running = true
+		t.setRunning(true)
+		core := e.r.plat.coreOf(slot)
 		if e.r.plat.OS.Migrate {
-			t.core = e.r.plat.coreOf(i)
-		} else {
-			t.core = e.r.plat.coreOf(slot)
+			core = e.r.plat.coreOf(i)
+		}
+		if t.core != core {
+			t.core = core
+			t.dirty = true
 		}
 	}
 	e.pump()
+}
+
+// setRunning schedules or deschedules t, marking it dirty on a change.
+func (t *thread) setRunning(running bool) {
+	if t.running != running {
+		t.running = running
+		t.dirty = true
+	}
 }
 
 // flushPipeline squashes a thread's performed-but-uncommitted loads, as a
@@ -91,6 +102,8 @@ func (e *engine) flushPipeline(t *thread) {
 			o.epoch++
 			o.squashes++
 			e.exec.Squashes++
+			e.pending++
+			t.dirty = true
 		}
 	}
 }
