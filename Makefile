@@ -3,7 +3,7 @@ GO ?= go
 # `make verify` PR-sized while still exercising the mutated-signature corpus.
 FUZZTIME ?= 3s
 
-.PHONY: build vet test race bench bench-smoke bench-diff fuzz-short obs-smoke scaling-smoke diff-check-smoke dist-smoke corpus-smoke trace-smoke sim-alloc-smoke verify
+.PHONY: build vet test race bench bench-smoke bench-diff fuzz-short obs-smoke scaling-smoke diff-check-smoke dist-smoke corpus-smoke trace-smoke sim-alloc-smoke verify loc
 
 build:
 	$(GO) build ./...
@@ -223,6 +223,11 @@ bench:
 # One-iteration benchmark compile-and-run check, cheap enough for verify.
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkSimIterationX86$$' -benchtime 10x .
+
+# Non-test Go line count, excluding the separate benchmark module: the
+# number a change that deletes code reports as its result.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^mtcbench/' | xargs cat | wc -l
 
 # Compare the newest BENCH_<n>.json against a baseline (default the
 # committed BENCH_0.json; override with BENCH_BASE=BENCH_2.json).

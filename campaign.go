@@ -23,7 +23,7 @@ import (
 
 // Campaign is the validation pipeline's spine: one analyzed (program,
 // options) pair whose stages — streaming execution, incremental signature
-// merge, eager decode, collective checking, checkpointing — can be driven
+// merge, barrier decode, collective checking, checkpointing — can be driven
 // whole (Run) or split across the paper's device/host boundary (Collect,
 // Check). Every public entry point (RunContext, RunProgramContext,
 // CollectSignaturesContext, CheckSignaturesContext, RunLitmusContext) is a
@@ -131,33 +131,17 @@ func (c *Campaign) newBuilder() *graph.Builder {
 	})
 }
 
-// Run drives the full pipeline. Execution, merge, and decode stream past
-// each other chunk by chunk; only the global signature sort and the
+// Run drives the full pipeline. Execution and merge stream past each
+// other chunk by chunk; the global signature sort, decode, and the
 // collective check wait for the execution barrier.
 func (c *Campaign) Run(ctx context.Context) (*Report, error) {
-	began := time.Now()
-	c.em.campaignStart(c.prog, c.opts, c.opts.Iterations, c.workers, began)
-	report := c.newReport()
-	m := c.newMerger(report, true)
-	runErr := c.execute(ctx, report, m)
-	uniques := m.acc.Sorted()
-	if runErr != nil {
+	m := c.newChunkMerger()
+	if err := c.execute(ctx, m); err != nil {
 		// A crash is a finding (paper bug 3); the report covers every
 		// iteration that executed, and the error names the earliest crash.
-		report.UniqueSignatures = len(uniques)
-		c.em.campaignEnd(report, runErr, began)
-		return report, runErr
+		return m.fail(err)
 	}
-	var injected obs.FaultCounts
-	if c.inj != nil {
-		uniques, report.InjectedFaults = c.inj.Corrupt(uniques)
-		injected = faultCounts(report.InjectedFaults)
-	}
-	report.UniqueSignatures = len(uniques)
-	c.em.mergeDone(report.Iterations, len(uniques), injected, true)
-	err := c.decodeAndCheck(ctx, uniques, m, report)
-	c.em.campaignEnd(report, err, began)
-	return report, err
+	return m.finish(ctx, true)
 }
 
 // Collect drives only the execution stage — the "device side" of the
@@ -166,25 +150,15 @@ func (c *Campaign) Run(ctx context.Context) (*Report, error) {
 // same signatures for the same (Seed, Iterations), and fault injection,
 // checkpointing, and shard retry apply identically.
 func (c *Campaign) Collect(ctx context.Context) ([]Unique, error) {
-	began := time.Now()
-	c.em.campaignStart(c.prog, c.opts, c.opts.Iterations, c.workers, began)
-	report := c.newReport() // accounting sink; callers get signatures only
-	m := c.newMerger(report, false)
-	if runErr := c.execute(ctx, report, m); runErr != nil {
-		c.em.campaignEnd(report, runErr, began)
-		return nil, runErr
+	m := c.newChunkMerger()
+	if err := c.execute(ctx, m); err != nil {
+		_, err = m.fail(err)
+		return nil, err
 	}
-	uniques := m.acc.Sorted()
-	var injected obs.FaultCounts
-	if c.inj != nil {
-		var counts map[FaultKind]int
-		uniques, counts = c.inj.Corrupt(uniques)
-		injected = faultCounts(counts)
+	if _, err := m.finish(ctx, false); err != nil {
+		return nil, err
 	}
-	report.UniqueSignatures = len(uniques)
-	c.em.mergeDone(report.Iterations, len(uniques), injected, true)
-	c.em.campaignEnd(report, nil, began)
-	return uniques, nil
+	return m.final, nil
 }
 
 // Check drives only the host side: previously collected unique signatures
@@ -213,16 +187,12 @@ func (c *Campaign) SignatureMetadata() SignatureMeta {
 	}
 }
 
-// decodeAndCheck is the shared host side of Run and Check: signature decode
-// — assembled from the merger's streaming decode cache when chunks were
-// decoded eagerly, or a barrier decodeItems pass when streaming wasn't
-// possible (offline Check, corruption-injected sets) — then the
-// quarantine-threshold gate and the selected checker. Only the collective
-// check (and the global sort feeding it) needs the barrier: the windowed
-// re-sorts of Alg. 2 assume adjacent signatures are globally sorted, a
-// property no partial stream has.
+// decodeAndCheck is the shared host side of every campaign: the barrier
+// decode of the sorted unique set (decodeItems, the only decode path), the
+// quarantine-threshold gate, and the selected checker. wsBySig carries the
+// first-observation write serializations of an ObservedWS campaign.
 func (c *Campaign) decodeAndCheck(ctx context.Context, uniques []Unique,
-	m *merger, report *Report) error {
+	wsBySig map[string]graph.WS, report *Report) error {
 	// Warm-cache fast path: partition the merged set against the corpus at
 	// the sort barrier. Hits were proven acyclic by an earlier campaign —
 	// the verdict is a pure function of (program, signature) — so they skip
@@ -250,22 +220,9 @@ func (c *Campaign) decodeAndCheck(ctx context.Context, uniques []Unique,
 			})
 		}
 	}
-	var builder *graph.Builder
-	var items []check.Item
-	var quarantined []Quarantined
-	var err error
-	if m != nil && m.builder != nil {
-		builder = m.builder
-		items, quarantined, err = m.assemble(novel)
-	} else {
-		builder = c.newBuilder()
-		var wsBySig map[string]graph.WS
-		if m != nil {
-			wsBySig = m.wsBySig
-		}
-		items, quarantined, err = decodeItems(ctx, c.meta, builder, novel, wsBySig,
-			c.workers, c.opts.Strict, c.em)
-	}
+	builder := c.newBuilder()
+	items, quarantined, err := decodeItems(ctx, c.meta, builder, novel, wsBySig,
+		c.workers, c.opts.Strict, c.em)
 	if err != nil {
 		return err
 	}
@@ -352,194 +309,6 @@ func (c *Campaign) corpusAppend(report *Report, items []check.Item) error {
 	return nil
 }
 
-// merger is the streaming consumer of completed execution chunks. It runs
-// on the campaign goroutine while workers execute later chunks, folding
-// each chunk's signatures into the campaign-wide accumulator in chunk order
-// and — when the mode allows — eagerly decoding every newly observed
-// signature, so the merge and decode stages overlap execution instead of
-// waiting behind it. Eager decoding is sound because decode is a pure
-// function of (signature, metadata): the final sorted assembly only has to
-// look results up. It is skipped when signature corruption is enabled,
-// since corruption applies to the final merged set.
-type merger struct {
-	c       *Campaign
-	report  *Report
-	acc     *sig.Set            // campaign-wide dedup accumulator
-	wsBySig map[string]graph.WS // first-global-observation ws (ObservedWS)
-
-	// Eager-decode state; builder == nil means barrier decoding.
-	builder *graph.Builder
-	rf      []int32 // dense reads-from scratch, reused per signature
-	keyBuf  []byte  // binary-key scratch for map lookups
-	cache   map[string]decodeEntry
-}
-
-// decodeEntry is one signature's cached decode outcome. Counts are not
-// cached: the quarantine report takes them from the final merged set.
-type decodeEntry struct {
-	edges []graph.Edge
-	kind  QuarantineKind
-	err   error
-}
-
-func (c *Campaign) newMerger(report *Report, decode bool) *merger {
-	m := &merger{c: c, report: report, acc: sig.NewSet()}
-	if c.opts.ObservedWS {
-		m.wsBySig = make(map[string]graph.WS)
-	}
-	if decode && !c.opts.Fault.CorruptsSignatures() {
-		m.builder = c.newBuilder()
-		m.cache = make(map[string]decodeEntry)
-	}
-	return m
-}
-
-// absorb folds one completed chunk into the campaign state: report
-// accounting, incremental dedup, first-observation ws capture, and the
-// eager decode of signatures never seen before. Chunks are absorbed
-// strictly in chunk order, so every order-sensitive output here is
-// independent of worker count and completion schedule.
-func (m *merger) absorb(out *shardOut) {
-	r := m.report
-	r.Iterations += out.iterations
-	r.TotalCycles += out.cycles
-	r.Squashes += out.squashes
-	r.Executions = append(r.Executions, out.execs...)
-	r.AssertionFailures = append(r.AssertionFailures, out.asserts...)
-	var began time.Time
-	if m.builder != nil {
-		began = time.Now()
-	}
-	seen := len(m.cache)
-	fresh, decoded, qd, qe := 0, 0, 0, 0
-	for _, u := range out.set.Entries() {
-		if !m.acc.AddUnique(u) {
-			continue
-		}
-		if m.wsBySig == nil && m.builder == nil {
-			continue
-		}
-		m.keyBuf = u.Sig.AppendBinary(m.keyBuf[:0])
-		if m.wsBySig != nil {
-			// New to the campaign means first observed in this chunk, and
-			// chunks land in order: first-in-chunk is first-globally.
-			if ws, ok := out.ws[string(m.keyBuf)]; ok {
-				m.wsBySig[string(m.keyBuf)] = ws
-			}
-		}
-		if m.builder == nil {
-			continue
-		}
-		if m.c.corpusActive() && m.c.opts.Corpus.Contains(m.c.corpKey, m.keyBuf) {
-			// Known good: the barrier partition will drop it before decode
-			// and check, so the streaming decode skips it too.
-			continue
-		}
-		e := m.decodeOne(u.Sig)
-		m.cache[string(m.keyBuf)] = e
-		fresh++
-		switch {
-		case e.err == nil:
-			decoded++
-		case e.kind == QuarantineDecode:
-			qd++
-		default:
-			qe++
-		}
-	}
-	if m.builder != nil && fresh > 0 {
-		m.c.em.decodeBatchEnd(out.idx, seen, fresh, decoded, qd, qe, began)
-	}
-}
-
-// absorbResumed seeds the accumulator with a checkpoint's unique set,
-// eagerly decoding it like any other batch (resume requires static ws, so
-// no ws capture applies).
-func (m *merger) absorbResumed(uniques []sig.Unique) {
-	if len(uniques) == 0 {
-		return
-	}
-	var began time.Time
-	if m.builder != nil {
-		began = time.Now()
-	}
-	decoded, qd, qe := 0, 0, 0
-	for _, u := range uniques {
-		if !m.acc.AddUnique(u) || m.builder == nil {
-			continue
-		}
-		m.keyBuf = u.Sig.AppendBinary(m.keyBuf[:0])
-		if m.c.corpusActive() && m.c.opts.Corpus.Contains(m.c.corpKey, m.keyBuf) {
-			continue
-		}
-		e := m.decodeOne(u.Sig)
-		m.cache[string(m.keyBuf)] = e
-		switch {
-		case e.err == nil:
-			decoded++
-		case e.kind == QuarantineDecode:
-			qd++
-		default:
-			qe++
-		}
-	}
-	if m.builder != nil {
-		m.c.em.decodeBatchEnd(0, 0, len(m.cache), decoded, qd, qe, began)
-	}
-}
-
-// decodeOne decodes a single signature against the campaign metadata and
-// builds its dynamic edge set. Callers set m.keyBuf to the signature's
-// binary key first; the observed-ws lookup reads it.
-func (m *merger) decodeOne(s sig.Signature) decodeEntry {
-	if m.rf == nil {
-		m.rf = make([]int32, m.builder.NumOps())
-	}
-	if err := m.c.meta.DecodeInto(s, m.rf); err != nil {
-		return decodeEntry{kind: QuarantineDecode, err: err}
-	}
-	var ws graph.WS
-	if m.wsBySig != nil {
-		ws = m.wsBySig[string(m.keyBuf)]
-	}
-	edges, err := m.builder.AppendDynamicEdges(nil, m.rf, ws)
-	if err != nil {
-		return decodeEntry{kind: QuarantineEdges, err: err}
-	}
-	return decodeEntry{edges: edges}
-}
-
-// assemble is the eager-decode barrier: the merged, sorted uniques are
-// matched against the streaming decode cache, yielding the checker's items
-// and the quarantine list in ascending signature order — bit-identical to
-// a barrier decodeItems pass, because decode is a pure function of the
-// signature and the cache covers every unique the merger absorbed. In
-// strict mode the lowest-sorted failing signature's error is returned, as
-// the serial decode loop would have surfaced it.
-func (m *merger) assemble(uniques []sig.Unique) ([]check.Item, []Quarantined, error) {
-	items := make([]check.Item, 0, len(uniques))
-	var quarantined []Quarantined
-	for _, u := range uniques {
-		m.keyBuf = u.Sig.AppendBinary(m.keyBuf[:0])
-		e, ok := m.cache[string(m.keyBuf)]
-		if !ok {
-			// Every unique passed through absorb, so this is defensive; a
-			// fresh decode keeps the barrier correct regardless.
-			e = m.decodeOne(u.Sig)
-			m.cache[string(m.keyBuf)] = e
-		}
-		if e.err != nil {
-			if m.c.opts.Strict {
-				return nil, nil, e.err
-			}
-			quarantined = append(quarantined, Quarantined{Sig: u.Sig, Count: u.Count, Kind: e.kind, Err: e.err})
-			continue
-		}
-		items = append(items, check.Item{Sig: u.Sig, Edges: e.edges})
-	}
-	return items, quarantined, nil
-}
-
 // execute runs the execution stage: optional checkpoint resume, the
 // iteration sequence in checkpoint-sized segments, work-stealing chunk
 // scheduling with per-chunk retry and degradation bookkeeping, streaming
@@ -548,7 +317,7 @@ func (m *merger) assemble(uniques []sig.Unique) ([]check.Item, []Quarantined, er
 // AssertionFailures, ShardFailures, ResumedIterations) is filled in as
 // chunks land, so the report is honest even when an error cuts the
 // campaign short.
-func (c *Campaign) execute(ctx context.Context, report *Report, m *merger) error {
+func (c *Campaign) execute(ctx context.Context, m *ChunkMerger) error {
 	opts := c.opts
 	completed := 0
 	if opts.Resume {
@@ -576,16 +345,20 @@ func (c *Campaign) execute(ctx context.Context, report *Report, m *merger) error
 		if ck.Completed > opts.Iterations {
 			return fmt.Errorf("mtracecheck: resume: checkpoint covers %d iterations, campaign requests only %d", ck.Completed, opts.Iterations)
 		}
+		// The restore validation dist uses: a checkpoint from another
+		// platform's signature width fails here, before any execution.
+		if err := m.restore(ck.Uniques); err != nil {
+			return fmt.Errorf("mtracecheck: resume: %w", err)
+		}
 		completed = ck.Completed
-		report.ResumedIterations = completed
-		report.Iterations += completed
-		m.absorbResumed(ck.Uniques)
+		m.report.ResumedIterations = completed
+		m.report.Iterations += completed
 		c.em.checkpointOp(obs.CheckpointResumed, opts.CheckpointPath, completed, len(ck.Uniques), 0)
 	}
-	// One Runner per worker for the whole campaign: platform/program
+	// One ChunkRunner per worker for the whole campaign: platform/program
 	// validation surfaces before any work, and the static-analysis cost of
-	// NewRunner is paid workers times per campaign instead of workers times
-	// per checkpoint segment.
+	// sim.NewRunner is paid workers times per campaign instead of workers
+	// times per checkpoint segment.
 	workers := c.workers
 	if workers < 1 {
 		workers = 1
@@ -593,9 +366,9 @@ func (c *Campaign) execute(ctx context.Context, report *Report, m *merger) error
 	if n := (opts.Iterations - completed + execChunkSize - 1) / execChunkSize; workers > n && n > 0 {
 		workers = n
 	}
-	runners := make([]*sim.Runner, workers)
+	runners := make([]*ChunkRunner, workers)
 	for i := range runners {
-		r, err := sim.NewRunner(opts.Platform, c.prog, opts.Seed)
+		r, err := c.newChunkRunner()
 		if err != nil {
 			return err
 		}
@@ -625,7 +398,7 @@ func (c *Campaign) execute(ctx context.Context, report *Report, m *merger) error
 		if checkpointing && segment < n {
 			n = segment
 		}
-		segClean, err := c.runChunks(ctx, report, m, runners, seeds, completed, n)
+		segClean, err := c.runChunks(ctx, m, runners, seeds, completed, n)
 		if err != nil {
 			return err
 		}
@@ -637,7 +410,7 @@ func (c *Campaign) execute(ctx context.Context, report *Report, m *merger) error
 				checkpointing = false
 				continue
 			}
-			merged := m.acc.Sorted()
+			merged := m.Merged()
 			c.em.mergeDone(completed, len(merged), obs.FaultCounts{}, false)
 			ck := sig.Checkpoint{
 				Seed: opts.Seed, ProgHash: progHash(c.prog),
@@ -664,17 +437,16 @@ func (c *Campaign) execute(ctx context.Context, report *Report, m *merger) error
 
 // runChunks executes one segment [segStart, segStart+segCount) through the
 // work-stealing scheduler: workers pull fixed-size chunks from a shared
-// cursor, execute them on their private Runner with per-chunk retry, and
-// stream completed chunks to the merger. The merger runs here, on the
+// cursor, execute them on their private ChunkRunner with per-chunk retry,
+// and stream completed chunks to the merger. The merger runs here, on the
 // campaign goroutine, absorbing chunks strictly in chunk order through a
 // reorder buffer while workers execute later chunks — the stage overlap —
 // so every order-sensitive output (executions, assertion failures,
-// first-observation ws, streaming decode batches, failure bookkeeping) is
-// identical for every worker count and completion schedule. It reports
-// whether the segment completed without shard failures, plus the first
-// fatal error in chunk order.
-func (c *Campaign) runChunks(ctx context.Context, report *Report, m *merger,
-	runners []*sim.Runner, seeds *sim.SeedStream, segStart, segCount int) (bool, error) {
+// first-observation ws, failure bookkeeping) is identical for every worker
+// count and completion schedule. It reports whether the segment completed
+// without shard failures, plus the first fatal error in chunk order.
+func (c *Campaign) runChunks(ctx context.Context, m *ChunkMerger,
+	runners []*ChunkRunner, seeds *sim.SeedStream, segStart, segCount int) (bool, error) {
 	nChunks := (segCount + execChunkSize - 1) / execChunkSize
 	type chunk struct {
 		idx, start, count int
@@ -705,7 +477,7 @@ func (c *Campaign) runChunks(ctx context.Context, report *Report, m *merger,
 	if workers > nChunks {
 		workers = nChunks
 	}
-	results := make(chan *shardOut, workers)
+	results := make(chan *ChunkResult, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -716,8 +488,8 @@ func (c *Campaign) runChunks(ctx context.Context, report *Report, m *merger,
 				if !ok {
 					return
 				}
-				out := c.runChunkRetrying(ctx, w, &runners[w], ck.start, ck.count, ck.seeds)
-				out.idx = ck.idx
+				out := runners[w].run(ctx, w, ck.start, ck.count, ck.seeds)
+				out.Chunk = ck.idx // segment-local: the reorder buffer's key
 				results <- out
 			}
 		}(w)
@@ -727,12 +499,12 @@ func (c *Campaign) runChunks(ctx context.Context, report *Report, m *merger,
 		close(results)
 	}()
 
-	pending := make(map[int]*shardOut)
+	pending := make(map[int]*ChunkResult)
 	nextMerge := 0
 	segClean := true
 	var firstErr error
 	for out := range results {
-		pending[out.idx] = out
+		pending[out.Chunk] = out
 		for {
 			o, ok := pending[nextMerge]
 			if !ok {
@@ -748,9 +520,9 @@ func (c *Campaign) runChunks(ctx context.Context, report *Report, m *merger,
 			if errors.Is(o.err, ErrShardFailed) && !c.opts.Strict {
 				// Infra failure that survived its retries: degrade to
 				// partial results, recorded honestly; scheduling continues.
-				report.ShardFailures = append(report.ShardFailures, ShardFailure{
-					Start: o.start, Count: o.count,
-					Executed: o.iterations, Attempts: o.attempts, Err: o.err,
+				m.report.ShardFailures = append(m.report.ShardFailures, ShardFailure{
+					Start: o.Start, Count: o.Count,
+					Executed: o.Stats.Iterations, Attempts: o.attempts, Err: o.err,
 				})
 				continue
 			}
@@ -767,74 +539,6 @@ func (c *Campaign) runChunks(ctx context.Context, report *Report, m *merger,
 		return segClean, err
 	}
 	return segClean, firstErr
-}
-
-// runChunkRetrying drives one chunk to completion on the worker's Runner,
-// re-running it from the chunk start after transient failures (recovered
-// panics, expired shard deadlines) with capped exponential backoff. Each
-// attempt restarts the chunk's seed slice from the top, so a retried chunk
-// replays bit-identically. A panicking attempt may leave the Runner's
-// reusable platform state corrupt, so the runner is dropped and rebuilt
-// before any reuse — the next attempt, or the worker's next chunk when the
-// failure exhausted its retries. Platform crashes are findings and parent
-// cancellation is final; neither is retried. A chunk still failing after
-// every retry returns its final partial attempt with the failure wrapped
-// in ErrShardFailed.
-func (c *Campaign) runChunkRetrying(ctx context.Context, worker int, runner **sim.Runner,
-	chunkStart, count int, seeds []int64) *shardOut {
-	opts := c.opts
-	backoff := time.Millisecond
-	const maxBackoff = 50 * time.Millisecond
-	for attempt := 0; ; attempt++ {
-		if *runner == nil {
-			r, err := sim.NewRunner(opts.Platform, c.prog, opts.Seed)
-			if err != nil {
-				return &shardOut{set: sig.NewSet(), start: chunkStart, count: count,
-					attempts: attempt + 1, err: err}
-			}
-			*runner = r
-		}
-		shardCtx, cancel := ctx, context.CancelFunc(func() {})
-		if opts.ShardTimeout > 0 {
-			shardCtx, cancel = context.WithTimeout(ctx, opts.ShardTimeout)
-		}
-		var src sim.Source = &seededSource{r: *runner, seeds: seeds}
-		if c.inj != nil {
-			src = c.inj.WrapShard(shardCtx, src, chunkStart, count, attempt)
-		}
-		began := time.Now()
-		c.em.shardStart(obs.StageExecute, worker, attempt, chunkStart, count, began)
-		out := runShardAttempt(shardCtx, src, c.meta, opts, chunkStart, count)
-		cancel()
-		out.start, out.count, out.attempts = chunkStart, count, attempt+1
-		if errors.Is(out.err, errShardPanic) {
-			// The panic may have unwound mid-iteration; the runner's
-			// reusable state is suspect.
-			*runner = nil
-		}
-		willRetry := out.err != nil && retryable(out.err, ctx) && attempt < opts.ShardRetries
-		if out.err != nil && retryable(out.err, ctx) && !willRetry {
-			out.err = fmt.Errorf("%w: iterations [%d,%d) after %d attempts: %v",
-				ErrShardFailed, chunkStart, chunkStart+count, attempt+1, out.err)
-		}
-		retrySleep := time.Duration(0)
-		if willRetry {
-			retrySleep = backoff
-		}
-		c.em.execShardEnd(worker, out, began, willRetry, retrySleep)
-		if !willRetry {
-			return out
-		}
-		select {
-		case <-ctx.Done():
-			out.err = ctx.Err()
-			return out
-		case <-time.After(backoff):
-		}
-		if backoff *= 2; backoff > maxBackoff {
-			backoff = maxBackoff
-		}
-	}
 }
 
 // seededSource adapts a Runner to one chunk's slice of the campaign seed
@@ -900,16 +604,16 @@ func (em emitter) shardStart(stage obs.Stage, shard, attempt, start, count int, 
 	})
 }
 
-func (em emitter) execShardEnd(shard int, out *shardOut, began time.Time, willRetry bool, backoff time.Duration) {
+func (em emitter) execShardEnd(shard int, out *ChunkResult, began time.Time, willRetry bool, backoff time.Duration) {
 	if em.o == nil {
 		return
 	}
 	now := time.Now()
 	em.o.ShardEnd(obs.ShardEnd{
 		Stage: obs.StageExecute, Shard: shard, Attempt: out.attempts - 1,
-		Start: out.start, Count: out.count,
-		Iterations: out.iterations, Cycles: out.cycles, Squashes: out.squashes,
-		Uniques: out.set.Len(), Asserts: len(out.asserts),
+		Start: out.Start, Count: out.Count,
+		Iterations: out.Stats.Iterations, Cycles: out.Stats.Cycles, Squashes: out.Stats.Squashes,
+		Uniques: len(out.Uniques), Asserts: len(out.asserts),
 		Err: out.err, WillRetry: willRetry, Backoff: backoff,
 		Time: now, Duration: now.Sub(began),
 	})
@@ -935,23 +639,6 @@ func (em emitter) decodeShardEnd(shard, start, count, decoded int, quar []*Quara
 		Stage: obs.StageDecode, Shard: shard, Start: start, Count: count,
 		Decoded: decoded, QuarantinedDecode: qd, QuarantinedEdges: qe,
 		Err: err, Time: now, Duration: now.Sub(began),
-	})
-}
-
-// decodeBatchEnd reports one streaming decode batch: the newly observed
-// unique signatures a completed chunk (or a resumed checkpoint) contributed,
-// decoded eagerly while later chunks still execute. Shard is the chunk
-// index; Start is the number of uniques previously seen by the decoder, so
-// batches tile the campaign's first-observation order.
-func (em emitter) decodeBatchEnd(shard, start, count, decoded, quarDecode, quarEdges int, began time.Time) {
-	if em.o == nil {
-		return
-	}
-	now := time.Now()
-	em.o.ShardEnd(obs.ShardEnd{
-		Stage: obs.StageDecode, Shard: shard, Start: start, Count: count,
-		Decoded: decoded, QuarantinedDecode: quarDecode, QuarantinedEdges: quarEdges,
-		Time: now, Duration: now.Sub(began),
 	})
 }
 
@@ -1095,23 +782,6 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// shardOut is what one execution chunk attempt produces: private signature
-// set and stats, streamed to the merger and absorbed in chunk order.
-type shardOut struct {
-	set        *sig.Set
-	ws         map[string]graph.WS // sig key -> first-observation ws
-	idx        int                 // chunk index within its segment
-	start      int                 // global iteration chunk start
-	count      int                 // chunk size
-	attempts   int
-	iterations int
-	cycles     int64
-	squashes   int
-	execs      []*sim.Execution
-	asserts    []error
-	err        error
-}
-
 // retryable classifies a shard error: recovered panics and expired
 // per-shard deadlines are transient infra faults worth retrying; anything
 // else — platform crashes (findings), encode errors, parent cancellation —
@@ -1130,15 +800,17 @@ func retryable(err error, parent context.Context) bool {
 // deliberately free of observer hooks: events fire at the chunk boundary,
 // never inside the per-iteration hot loop.
 func runShardAttempt(ctx context.Context, src sim.Source, meta *instrument.Meta,
-	opts Options, start, count int) (out *shardOut) {
-	out = &shardOut{set: sig.NewSet()}
+	opts Options, start, count int) (out *ChunkResult) {
+	out = &ChunkResult{Start: start, Count: count}
+	set := sig.NewSet()
 	if opts.ObservedWS {
 		out.ws = make(map[string]graph.WS)
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			out.err = fmt.Errorf("%w at iteration %d: %v", errShardPanic, start+out.iterations, r)
+			out.err = fmt.Errorf("%w at iteration %d: %v", errShardPanic, start+out.Stats.Iterations, r)
 		}
+		out.Uniques = set.Sorted()
 	}()
 	var sigBuf []uint64 // per-attempt encode scratch, reused every iteration
 	for i := 0; i < count; i++ {
@@ -1156,9 +828,9 @@ func runShardAttempt(ctx context.Context, src sim.Source, meta *instrument.Meta,
 			out.err = fmt.Errorf("%w: iteration %d: %v", ErrCrash, start+i, err)
 			return out
 		}
-		out.iterations++
-		out.cycles += int64(ex.Cycles)
-		out.squashes += ex.Squashes
+		out.Stats.Iterations++
+		out.Stats.Cycles += int64(ex.Cycles)
+		out.Stats.Squashes += ex.Squashes
 		if opts.KeepExecutions {
 			// The source's execution is scratch, overwritten next iteration:
 			// retention requires a deep copy.
@@ -1169,12 +841,13 @@ func runShardAttempt(ctx context.Context, src sim.Source, meta *instrument.Meta,
 			var ae *instrument.AssertionError
 			if errors.As(err, &ae) {
 				out.asserts = append(out.asserts, ae)
+				out.Stats.Asserts = append(out.Stats.Asserts, ae.Error())
 				continue
 			}
 			out.err = err
 			return out
 		}
-		if out.set.AddWords(sigBuf) && opts.ObservedWS {
+		if set.AddWords(sigBuf) && opts.ObservedWS {
 			// First observation of this interleaving in this chunk: keep its
 			// write-serialization order for graph construction. (The
 			// static-ws default needs nothing beyond the signature.)
@@ -1184,10 +857,9 @@ func runShardAttempt(ctx context.Context, src sim.Source, meta *instrument.Meta,
 	return out
 }
 
-// decodeItems is the barrier decode stage over an explicit worker count,
-// used when signatures could not be decoded as they streamed in (offline
-// Check, corruption-injected sets). Workers fill disjoint contiguous
-// ranges of the result and poll the context as they go. In strict mode the
+// decodeItems is the decode stage — the only per-signature decode loop —
+// run once at the sort barrier over an explicit worker count. Workers fill
+// disjoint contiguous ranges of the result and poll the context as they go. In strict mode the
 // error for the lowest-indexed failing signature is returned — the one the
 // serial loop would have hit first. In graceful mode failing signatures
 // are quarantined (in sorted order, deterministically: failure is a pure

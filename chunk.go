@@ -6,15 +6,24 @@ import (
 	"fmt"
 	"time"
 
+	"mtracecheck/internal/graph"
 	"mtracecheck/internal/obs"
 	"mtracecheck/internal/sig"
 	"mtracecheck/internal/sim"
 )
 
-// The chunk API exports the campaign's worker-invariant execution grid for
-// out-of-process use: the distributed service leases chunks to remote
-// workers and merges their results here. Three properties make remote
-// execution safe and its failures recoverable:
+// Every campaign merges through one path. A ChunkRunner executes chunks of
+// the worker-invariant execution grid; a ChunkMerger is the only
+// accumulator of their results. In-process Run and Collect feed the merger
+// from their reorder buffer, the distributed server from worker uploads,
+// and all of them finish through the same sort barrier: sort, corrupt,
+// merge-done, decode and check, campaign-end. Decode happens only there,
+// once, in parallel (decodeItems).
+//
+// The exported half of the API serves out-of-process execution: the
+// distributed service leases grid chunks to remote workers and merges their
+// results here. Three properties make remote execution safe and its
+// failures recoverable:
 //
 //   - Any runner can execute any chunk: each chunk carries its slice of the
 //     campaign's per-iteration seed stream, so a chunk's signatures and
@@ -23,9 +32,9 @@ import (
 //     after a crash, hang, or partition — produces bit-identical results,
 //     so redispatch and duplicate completions are harmless.
 //   - ChunkMerger.Absorb deduplicates by chunk index and Report assembles
-//     counters in ascending chunk order, so the merged report is identical
-//     to a single-process run regardless of which workers computed which
-//     chunks, in what order, or how many times.
+//     assertion failures in ascending chunk order, so the merged report is
+//     identical to a single-process run regardless of which workers
+//     computed which chunks, in what order, or how many times.
 
 // ChunkSize is the campaign execution grid's granule: chunk i covers
 // iterations [i*ChunkSize, min((i+1)*ChunkSize, Iterations)). It equals the
@@ -50,9 +59,11 @@ func (c *Campaign) ChunkBounds(idx int) (start, count int) {
 // must carry — the upload-validation width for remote results.
 func (c *Campaign) SignatureWords() int { return c.meta.TotalWords() }
 
-// chunkable rejects option combinations the chunk grid cannot honor: chunk
-// results must be self-contained and worker-invariant, which rules out
-// recorded write serializations, retained executions, and prefix-resume.
+// chunkable rejects option combinations the exported chunk API cannot
+// honor: remote chunk results must be self-contained and worker-invariant,
+// which rules out recorded write serializations, retained executions, and
+// prefix-resume. In-process campaigns support all three through the same
+// merger.
 func (c *Campaign) chunkable() error {
 	switch {
 	case c.opts.ObservedWS:
@@ -86,14 +97,24 @@ type ChunkResult struct {
 	Count   int
 	Stats   ChunkStats
 	Uniques []Unique
+
+	// In-process state that never crosses the wire.
+	execs    []*sim.Execution    // retained executions (Options.KeepExecutions)
+	asserts  []error             // structured assertion failures behind Stats.Asserts
+	ws       map[string]graph.WS // sig key -> first-observation ws (ObservedWS)
+	attempts int
+	err      error
 }
 
-// ChunkRunner executes grid chunks on a private simulator runner, reusing
-// it across chunks the way an in-process worker does (and rebuilding it
-// after a panicking attempt). It is owned by a single goroutine.
+// ChunkRunner executes chunks on a private simulator runner, reusing it
+// across chunks (and rebuilding it after a panicking attempt). It is owned
+// by a single goroutine.
 type ChunkRunner struct {
 	c      *Campaign
 	runner *sim.Runner
+	// seeds is Run's grid seed stream, positioned after the last chunk it
+	// ran: leases mostly move forward, so each chunk skips only the gap.
+	seeds *sim.SeedStream
 }
 
 // NewChunkRunner validates that the campaign's options permit chunked
@@ -102,6 +123,10 @@ func (c *Campaign) NewChunkRunner() (*ChunkRunner, error) {
 	if err := c.chunkable(); err != nil {
 		return nil, err
 	}
+	return c.newChunkRunner()
+}
+
+func (c *Campaign) newChunkRunner() (*ChunkRunner, error) {
 	r, err := sim.NewRunner(c.opts.Platform, c.prog, c.opts.Seed)
 	if err != nil {
 		return nil, err
@@ -120,23 +145,80 @@ func (cr *ChunkRunner) Run(ctx context.Context, idx int) (*ChunkResult, error) {
 		return nil, fmt.Errorf("mtracecheck: chunk %d outside grid of %d", idx, c.NumChunks())
 	}
 	start, count := c.ChunkBounds(idx)
+	if cr.seeds == nil || cr.seeds.Pos() > start {
+		cr.seeds = sim.NewSeedStream(c.opts.Seed)
+	}
+	cr.seeds.Skip(start - cr.seeds.Pos())
 	seeds := make([]int64, count)
-	stream := sim.NewSeedStream(c.opts.Seed)
-	stream.Skip(start)
-	stream.Fill(seeds)
-	out := c.runChunkRetrying(ctx, 0, &cr.runner, start, count, seeds)
-	out.idx = idx
-	res := &ChunkResult{
-		Chunk: idx, Start: start, Count: count,
-		Stats: ChunkStats{
-			Iterations: out.iterations, Cycles: out.cycles, Squashes: out.squashes,
-		},
-		Uniques: out.set.Sorted(),
+	cr.seeds.Fill(seeds)
+	res := cr.run(ctx, 0, start, count, seeds)
+	res.Chunk = idx
+	return res, res.err
+}
+
+// run drives one chunk to completion, re-running it from the chunk start
+// after transient failures (recovered panics, expired shard deadlines) with
+// capped exponential backoff. Each attempt restarts the chunk's seed slice
+// from the top, so a retried chunk replays bit-identically. A panicking
+// attempt may leave the sim.Runner's reusable platform state corrupt, so
+// the runner is dropped and rebuilt before any reuse — the next attempt, or
+// the next chunk when the failure exhausted its retries. Platform crashes
+// are findings and parent cancellation is final; neither is retried. A
+// chunk still failing after every retry returns its final partial attempt
+// with the failure wrapped in ErrShardFailed. worker is the observer lane.
+func (cr *ChunkRunner) run(ctx context.Context, worker, start, count int, seeds []int64) *ChunkResult {
+	c, opts := cr.c, cr.c.opts
+	backoff := time.Millisecond
+	const maxBackoff = 50 * time.Millisecond
+	for attempt := 0; ; attempt++ {
+		if cr.runner == nil {
+			r, err := sim.NewRunner(opts.Platform, c.prog, opts.Seed)
+			if err != nil {
+				return &ChunkResult{Start: start, Count: count, attempts: attempt + 1, err: err}
+			}
+			cr.runner = r
+		}
+		shardCtx, cancel := ctx, context.CancelFunc(func() {})
+		if opts.ShardTimeout > 0 {
+			shardCtx, cancel = context.WithTimeout(ctx, opts.ShardTimeout)
+		}
+		var src sim.Source = &seededSource{r: cr.runner, seeds: seeds}
+		if c.inj != nil {
+			src = c.inj.WrapShard(shardCtx, src, start, count, attempt)
+		}
+		began := time.Now()
+		c.em.shardStart(obs.StageExecute, worker, attempt, start, count, began)
+		out := runShardAttempt(shardCtx, src, c.meta, opts, start, count)
+		cancel()
+		out.attempts = attempt + 1
+		if errors.Is(out.err, errShardPanic) {
+			// The panic may have unwound mid-iteration; the runner's
+			// reusable state is suspect.
+			cr.runner = nil
+		}
+		willRetry := out.err != nil && retryable(out.err, ctx) && attempt < opts.ShardRetries
+		if out.err != nil && retryable(out.err, ctx) && !willRetry {
+			out.err = fmt.Errorf("%w: iterations [%d,%d) after %d attempts: %v",
+				ErrShardFailed, start, start+count, attempt+1, out.err)
+		}
+		retrySleep := time.Duration(0)
+		if willRetry {
+			retrySleep = backoff
+		}
+		c.em.execShardEnd(worker, out, began, willRetry, retrySleep)
+		if !willRetry {
+			return out
+		}
+		select {
+		case <-ctx.Done():
+			out.err = ctx.Err()
+			return out
+		case <-time.After(backoff):
+		}
+		if backoff *= 2; backoff > maxBackoff {
+			backoff = maxBackoff
+		}
 	}
-	for _, a := range out.asserts {
-		res.Stats.Asserts = append(res.Stats.Asserts, a.Error())
-	}
-	return res, out.err
 }
 
 // assertFailure carries a transported assertion-failure message in the
@@ -148,31 +230,45 @@ func (a assertFailure) Error() string { return string(a) }
 // ChunkMerger accumulates chunk results into a campaign report. Absorb is
 // idempotent per chunk index — duplicate completions (stragglers, retried
 // uploads, redispatch races) merge to the same state — and Report assembles
-// counters in ascending chunk order, so the outcome is independent of
-// completion order. Not safe for concurrent use; callers serialize.
+// assertion failures in ascending chunk order, so the outcome is
+// independent of completion order. Not safe for concurrent use; callers
+// serialize.
 type ChunkMerger struct {
-	c     *Campaign
-	began time.Time
-	acc   *sig.Set
+	c       *Campaign
+	began   time.Time
+	report  *Report             // execution accounting, folded in per chunk
+	acc     *sig.Set            // campaign-wide dedup accumulator
+	wsBySig map[string]graph.WS // first-global-observation ws (ObservedWS)
+	keyBuf  []byte              // binary-key scratch for the ws capture
+	final   []Unique            // post-injection set, recorded at the barrier
+
+	// Grid bookkeeping for out-of-order absorption (NewChunkMerger only;
+	// in-process chunks arrive in order and need none).
 	stats []ChunkStats // per chunk; valid where done[i]
 	done  []bool
 	nDone int
-	final []Unique // post-injection set, recorded by Report
 }
 
-// NewChunkMerger returns an empty merger over the campaign's grid and
-// emits the campaign-start event (the merger is the distributed campaign's
-// host side, so its lifetime brackets the observable campaign).
+// newChunkMerger returns an empty merger and emits the campaign-start
+// event: the merger's lifetime brackets the observable campaign.
+func (c *Campaign) newChunkMerger() *ChunkMerger {
+	m := &ChunkMerger{c: c, began: time.Now(), report: c.newReport(), acc: sig.NewSet()}
+	if c.opts.ObservedWS {
+		m.wsBySig = make(map[string]graph.WS)
+	}
+	c.em.campaignStart(c.prog, c.opts, c.opts.Iterations, c.workers, m.began)
+	return m
+}
+
+// NewChunkMerger returns an empty merger over the campaign's grid — the
+// distributed campaign's host side.
 func (c *Campaign) NewChunkMerger() (*ChunkMerger, error) {
 	if err := c.chunkable(); err != nil {
 		return nil, err
 	}
+	m := c.newChunkMerger()
 	n := c.NumChunks()
-	m := &ChunkMerger{
-		c: c, began: time.Now(), acc: sig.NewSet(),
-		stats: make([]ChunkStats, n), done: make([]bool, n),
-	}
-	c.em.campaignStart(c.prog, c.opts, c.opts.Iterations, c.workers, m.began)
+	m.stats, m.done = make([]ChunkStats, n), make([]bool, n)
 	return m, nil
 }
 
@@ -240,13 +336,54 @@ func (m *ChunkMerger) Absorb(r *ChunkResult) (fresh bool, err error) {
 	if m.done[r.Chunk] {
 		return false, nil
 	}
-	for _, u := range r.Uniques {
-		m.acc.AddUnique(u)
-	}
 	m.stats[r.Chunk] = r.Stats
 	m.done[r.Chunk] = true
 	m.nDone++
+	// Only the wire fields cross; Report assembles the assertion messages.
+	m.absorb(&ChunkResult{Stats: r.Stats, Uniques: r.Uniques})
 	return true, nil
+}
+
+// absorb folds one chunk into the merged state: report accounting,
+// incremental dedup, and first-observation ws capture. The in-process
+// reorder buffer calls it strictly in chunk order, so every order-sensitive
+// output here — retained executions, assertion failures, the recorded ws —
+// is independent of worker count and completion schedule.
+func (m *ChunkMerger) absorb(r *ChunkResult) {
+	rep := m.report
+	rep.Iterations += r.Stats.Iterations
+	rep.TotalCycles += r.Stats.Cycles
+	rep.Squashes += r.Stats.Squashes
+	rep.Executions = append(rep.Executions, r.execs...)
+	rep.AssertionFailures = append(rep.AssertionFailures, r.asserts...)
+	for _, u := range r.Uniques {
+		if !m.acc.AddUnique(u) || m.wsBySig == nil {
+			continue
+		}
+		// New to the campaign means first observed in this chunk, and
+		// chunks land in order: first-in-chunk is first-globally.
+		m.keyBuf = u.Sig.AppendBinary(m.keyBuf[:0])
+		if ws, ok := r.ws[string(m.keyBuf)]; ok {
+			m.wsBySig[string(m.keyBuf)] = ws
+		}
+	}
+}
+
+// restore seeds the accumulator with a checkpoint's merged unique set. A
+// signature of the wrong width — a checkpoint from another platform's
+// register width — is rejected before any state changes or any execution.
+func (m *ChunkMerger) restore(uniques []Unique) error {
+	words := m.c.SignatureWords()
+	for i := range uniques {
+		if uniques[i].Sig.Len() != words {
+			return fmt.Errorf("mtracecheck: restored signature %d has %d words, campaign signatures have %d",
+				i, uniques[i].Sig.Len(), words)
+		}
+	}
+	for _, u := range uniques {
+		m.acc.AddUnique(u)
+	}
+	return nil
 }
 
 // Restore seeds the merger from a checkpoint: the merged unique set
@@ -257,28 +394,23 @@ func (m *ChunkMerger) Restore(uniques []Unique, done map[int]ChunkStats) error {
 	if m.nDone > 0 {
 		return errors.New("mtracecheck: Restore requires an empty merger")
 	}
-	start, count := 0, 0
 	for idx, st := range done {
 		if idx < 0 || idx >= len(m.done) {
 			return fmt.Errorf("mtracecheck: restored chunk %d outside grid of %d", idx, len(m.done))
 		}
-		if start, count = m.c.ChunkBounds(idx); st.Iterations != count {
+		if start, count := m.c.ChunkBounds(idx); st.Iterations != count {
 			return fmt.Errorf("mtracecheck: restored chunk %d covers %d of %d iterations (grid start %d)",
 				idx, st.Iterations, count, start)
 		}
 	}
-	words := m.c.SignatureWords()
-	for i := range uniques {
-		if uniques[i].Sig.Len() != words {
-			return fmt.Errorf("mtracecheck: restored signature %d has %d words, campaign signatures have %d",
-				i, uniques[i].Sig.Len(), words)
-		}
-		m.acc.AddUnique(uniques[i])
+	if err := m.restore(uniques); err != nil {
+		return err
 	}
 	for idx, st := range done {
 		m.stats[idx] = st
 		m.done[idx] = true
 		m.nDone++
+		m.absorb(&ChunkResult{Stats: st})
 	}
 	return nil
 }
@@ -286,23 +418,29 @@ func (m *ChunkMerger) Restore(uniques []Unique, done map[int]ChunkStats) error {
 // Report runs the host side over the merged results — corruption injection,
 // decode, quarantine gate, collective check — and returns the campaign
 // report, bit-identical to an uninterrupted in-process run of the same
-// (program, options). It requires every grid chunk to have been absorbed.
+// (program, options). It requires every grid chunk to have been absorbed,
+// and runs once.
 func (m *ChunkMerger) Report(ctx context.Context) (*Report, error) {
-	c := m.c
 	if !m.Complete() {
-		err := fmt.Errorf("mtracecheck: report requires all %d chunks, have %d", len(m.done), m.nDone)
-		return nil, err
+		return nil, fmt.Errorf("mtracecheck: report requires all %d chunks, have %d", len(m.done), m.nDone)
 	}
-	report := c.newReport()
 	for idx := range m.stats {
-		st := &m.stats[idx]
-		report.Iterations += st.Iterations
-		report.TotalCycles += st.Cycles
-		report.Squashes += st.Squashes
-		for _, a := range st.Asserts {
-			report.AssertionFailures = append(report.AssertionFailures, assertFailure(a))
+		for _, a := range m.stats[idx].Asserts {
+			m.report.AssertionFailures = append(m.report.AssertionFailures, assertFailure(a))
 		}
 	}
+	return m.finish(ctx, true)
+}
+
+// finish is the sort barrier every campaign ends at. The merged set is
+// sorted and corrupted (fault injection is a pure function of the final
+// set); when check is set it is then decoded and checked. The collective
+// check needs this barrier — its windowed re-sorts (Alg. 2) assume
+// adjacent signatures are globally sorted. Decode waits here by choice:
+// run in parallel once execution has released the CPUs, it costs less
+// than decoding on the merge goroutine while the workers still execute.
+func (m *ChunkMerger) finish(ctx context.Context, check bool) (*Report, error) {
+	c, report := m.c, m.report
 	uniques := m.acc.Sorted()
 	var injected obs.FaultCounts
 	if c.inj != nil {
@@ -312,7 +450,18 @@ func (m *ChunkMerger) Report(ctx context.Context) (*Report, error) {
 	report.UniqueSignatures = len(uniques)
 	m.final = uniques
 	c.em.mergeDone(report.Iterations, len(uniques), injected, true)
-	err := c.decodeAndCheck(ctx, uniques, nil, report)
+	var err error
+	if check {
+		err = c.decodeAndCheck(ctx, uniques, m.wsBySig, report)
+	}
 	c.em.campaignEnd(report, err, m.began)
 	return report, err
+}
+
+// fail ends a campaign that err cut short before the barrier. The report
+// covers every iteration that executed.
+func (m *ChunkMerger) fail(err error) (*Report, error) {
+	m.report.UniqueSignatures = m.acc.Len()
+	m.c.em.campaignEnd(m.report, err, m.began)
+	return m.report, err
 }

@@ -9,9 +9,11 @@ package mtracecheck
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -404,6 +406,35 @@ func TestResumeValidation(t *testing.T) {
 	// Checkpoint ahead of the campaign.
 	if _, err := Run(faultCfg, Options{Iterations: 20, Seed: 6, CheckpointPath: ckpt, Resume: true}); err == nil {
 		t.Error("checkpoint covering more iterations than requested accepted")
+	}
+	// Wrong signature width: the same program and seed on a platform with a
+	// narrower register file must be rejected before any execution, naming
+	// both widths.
+	p, err := NewProgramBuilderFromConfig(faultCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	widths := [2]int{}
+	for i, plat := range []Platform{PlatformX86(), PlatformARM()} {
+		c, err := NewCampaign(p, Options{Platform: plat, Iterations: 40, Seed: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		widths[i] = c.SignatureWords()
+	}
+	if widths[0] == widths[1] {
+		t.Fatalf("x86 and ARM signatures both have %d words; the width case needs them to differ", widths[0])
+	}
+	report, err := RunProgram(p, Options{Platform: PlatformARM(), Iterations: 40, Seed: 6,
+		CheckpointPath: ckpt, Resume: true})
+	switch {
+	case err == nil:
+		t.Error("signature width mismatch accepted")
+	case !strings.Contains(err.Error(), fmt.Sprintf("has %d words", widths[0])) ||
+		!strings.Contains(err.Error(), fmt.Sprintf("have %d", widths[1])):
+		t.Errorf("width mismatch error %q does not name both widths (%d and %d)", err, widths[0], widths[1])
+	case report == nil || report.Iterations != 0:
+		t.Errorf("width mismatch surfaced after execution: report %+v", report)
 	}
 	// Resume without a path, and with a missing file.
 	if _, err := Run(faultCfg, Options{Iterations: 40, Seed: 6, Resume: true}); err == nil {

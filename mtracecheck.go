@@ -285,9 +285,10 @@ type Options struct {
 	KeepExecutions bool
 	// Workers sizes the streaming pipeline: this many goroutines pull
 	// fixed-size execution chunks from a shared cursor (work stealing), and
-	// completed chunks stream through incremental merge and eager decode
-	// while later chunks still execute; collective checking shards across
-	// the same count. 0 selects GOMAXPROCS; 1 is the serial pipeline.
+	// completed chunks stream through incremental merge while later chunks
+	// still execute; decode and collective checking shard across the same
+	// count at the sort barrier. 0 selects GOMAXPROCS; 1 is the serial
+	// pipeline.
 	// Results are identical for every value: iteration i's seed is the i-th
 	// draw of the campaign's master seed stream — handed to whichever
 	// worker claims the chunk containing i — and a reorder buffer merges
@@ -508,20 +509,6 @@ func RunProgramContext(ctx context.Context, p *Program, opts Options) (*Report, 
 // RunProgram is RunProgramContext with context.Background().
 func RunProgram(p *Program, opts Options) (*Report, error) {
 	return RunProgramContext(context.Background(), p, opts)
-}
-
-// DecodeItems converts sorted unique signatures back into checkable items:
-// each signature is decoded to its reads-from relation (paper Alg. 1) and
-// combined with the write-serialization order observed by the harness.
-// Signatures decode independently, so the work fans out over GOMAXPROCS
-// goroutines into a pre-sized slice that preserves the sorted order. It is
-// strict: the first failure aborts (the lowest-indexed one, as the serial
-// loop would hit); RunProgram's graceful quarantine path is configured via
-// Options.Strict instead.
-func DecodeItems(ctx context.Context, meta *instrument.Meta, b *graph.Builder,
-	uniques []Unique, wsBySig map[string]graph.WS) ([]check.Item, error) {
-	items, _, err := decodeItems(ctx, meta, b, uniques, wsBySig, runtime.GOMAXPROCS(0), true, emitter{})
-	return items, err
 }
 
 // RunLitmusContext executes a litmus test, reporting how often the

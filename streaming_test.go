@@ -2,8 +2,10 @@ package mtracecheck
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"hash/fnv"
+	"reflect"
 	"testing"
 	"time"
 
@@ -57,6 +59,12 @@ func TestSchedulerDeterminism(t *testing.T) {
 		{"faulted", Options{Platform: PlatformX86(), Iterations: 300, Seed: 11,
 			ShardRetries: 3,
 			Fault:        FaultConfig{Seed: 3, BitFlip: 0.2, Truncate: 0.1, ShardPanic: 0.5}}},
+		// First-observation ws capture is the merger's order-sensitive
+		// state: the ws recorded for a signature is the one from the
+		// earliest chunk that saw it, whichever worker finished first. The
+		// LSQ bug makes the recorded ws decide verdicts.
+		{"observed-ws", Options{Platform: BuggyPlatform(BugLSQSkip), Iterations: 300, Seed: 11,
+			ObservedWS: true}},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
@@ -84,6 +92,9 @@ func TestSchedulerDeterminism(t *testing.T) {
 				results[workers] = result{report: report, sigs: buf.Bytes()}
 			}
 			base := results[1]
+			if sc.opts.ObservedWS && len(base.report.Violations) == 0 {
+				t.Fatal("no violations: the scenario no longer exercises the recorded ws")
+			}
 			for _, workers := range []int{2, 3, 8} {
 				got := results[workers]
 				if got.report.Iterations != base.report.Iterations ||
@@ -95,6 +106,16 @@ func TestSchedulerDeterminism(t *testing.T) {
 					len(got.report.AssertionFailures) != len(base.report.AssertionFailures) ||
 					len(got.report.ShardFailures) != len(base.report.ShardFailures) {
 					t.Errorf("workers %d: report diverges from workers 1", workers)
+				}
+				for i, v := range base.report.Violations {
+					if i < len(got.report.Violations) && !got.report.Violations[i].Sig.Equal(v.Sig) {
+						t.Errorf("workers %d: violation %d signature diverges", workers, i)
+					}
+				}
+				for i, q := range base.report.Quarantined {
+					if i < len(got.report.Quarantined) && !got.report.Quarantined[i].Sig.Equal(q.Sig) {
+						t.Errorf("workers %d: quarantine entry %d diverges", workers, i)
+					}
 				}
 				if len(got.report.Executions) != len(base.report.Executions) {
 					t.Fatalf("workers %d: %d executions, want %d", workers,
@@ -110,6 +131,40 @@ func TestSchedulerDeterminism(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestChunkRunnerOutOfOrderLeases: a ChunkRunner keeps its seed stream
+// between chunks, skipping forward from its position and rebuilding it only
+// when a lease goes backwards. Chunks run in the order 3, 0, 2, 1 on one
+// runner must match a fresh runner per chunk bit for bit.
+func TestChunkRunnerOutOfOrderLeases(t *testing.T) {
+	p := testgen.MustGenerate(TestConfig{Threads: 2, OpsPerThread: 20, Words: 4, Seed: 2})
+	c, err := NewCampaign(p, Options{Platform: PlatformX86(), Iterations: 4 * ChunkSize, Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := c.NewChunkRunner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, idx := range []int{3, 0, 2, 1} {
+		got, err := shared.Run(context.Background(), idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := c.NewChunkRunner()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Run(context.Background(), idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("chunk %d on a reused runner differs from a fresh runner:\ngot  %+v\nwant %+v",
+				idx, got.Stats, want.Stats)
+		}
 	}
 }
 
