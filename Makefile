@@ -208,17 +208,19 @@ sim-alloc-smoke:
 verify: build vet test race fuzz-short bench-smoke sim-alloc-smoke obs-smoke scaling-smoke diff-check-smoke trace-smoke dist-smoke corpus-smoke
 
 # Full benchmark sweep, snapshotted as the next free BENCH_<n>.json
-# (name → ns/op, B/op, allocs/op). BENCH_0.json is the committed
-# pre-dense-buffer baseline; diff later snapshots against it to catch
-# allocation regressions in the hot loop. Each snapshot embeds a campaign
-# metrics snapshot ("_metrics" key) from a reference run, so timing shifts
-# can be read against the work actually performed.
+# (name → ns/op, B/op, allocs/op). Each benchmark runs five times and the
+# snapshot records the median with its min and max, so bench-diff can tell
+# a change from noise. BENCH_0.json is the committed pre-dense-buffer
+# baseline; diff later snapshots against it to catch allocation regressions
+# in the hot loop. Each snapshot embeds a campaign metrics snapshot
+# ("_metrics" key) from a reference run, so timing shifts can be read
+# against the work actually performed.
 bench:
 	@n=0; while [ -e BENCH_$$n.json ]; do n=$$((n+1)); done; \
 	echo "writing BENCH_$$n.json"; \
 	m=$$(mktemp); trap 'rm -f '$$m EXIT; \
 	$(GO) run ./cmd/mtracecheck -threads 4 -ops 50 -words 64 -iters 2048 -metrics-out $$m > /dev/null; \
-	$(GO) test -bench . -benchmem -count 1 -timeout 60m . | $(GO) run ./tools/benchjson -metrics $$m > BENCH_$$n.json
+	$(GO) test -bench . -benchmem -count 5 -timeout 60m . | $(GO) run ./tools/benchjson -metrics $$m > BENCH_$$n.json
 
 # One-iteration benchmark compile-and-run check, cheap enough for verify.
 bench-smoke:
@@ -230,7 +232,8 @@ loc:
 	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^mtcbench/' | xargs cat | wc -l
 
 # Compare the newest BENCH_<n>.json against a baseline (default the
-# committed BENCH_0.json; override with BENCH_BASE=BENCH_2.json).
+# committed BENCH_0.json; override with BENCH_BASE=BENCH_2.json). A delta
+# prints only where the two snapshots' min–max ranges do not overlap.
 BENCH_BASE ?= BENCH_0.json
 bench-diff:
 	@n=0; latest=; while [ -e BENCH_$$n.json ]; do latest=BENCH_$$n.json; n=$$((n+1)); done; \

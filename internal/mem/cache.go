@@ -61,19 +61,28 @@ type mshr struct {
 
 // cache is one core's private L1 controller.
 type cache struct {
-	sys        *System
-	id         int
-	sets       [][]cacheLine
-	mshrs      map[uint64]*mshr
+	sys  *System
+	id   int
+	sets [][]cacheLine
+	// usedSets lists, in first-use order, the sets a way was claimed in
+	// since the last reset (setUsed marks them): every other set is still
+	// all-invalid, so reset rewinds only these.
+	usedSets []int
+	setUsed  []bool
+	// mshrs and wb are per-line tables indexed by line slot (see
+	// System.cover); nMSHR and nWB count their non-nil entries.
+	mshrs      []*mshr
+	nMSHR      int
 	mshrFree   []*mshr
-	wb         map[uint64][]uint32 // writeback buffer: PutM sent, WBAck pending
-	stalled    []memReq            // requests waiting for a free way
-	stalledAlt []memReq            // double buffer for retryStalled
+	wb         [][]uint32 // writeback buffer: PutM sent, WBAck pending
+	nWB        int
+	stalled    []memReq // requests waiting for a free way
+	stalledAlt []memReq // double buffer for retryStalled
 	useCtr     int64
 }
 
 func newCache(s *System, id int) *cache {
-	c := &cache{sys: s, id: id, mshrs: make(map[uint64]*mshr), wb: make(map[uint64][]uint32)}
+	c := &cache{sys: s, id: id, setUsed: make([]bool, s.cfg.Sets)}
 	c.sets = make([][]cacheLine, s.cfg.Sets)
 	for i := range c.sets {
 		c.sets[i] = make([]cacheLine, s.cfg.Ways)
@@ -81,22 +90,18 @@ func newCache(s *System, id int) *cache {
 	return c
 }
 
+// reset rewinds the cache to all-invalid. The system is quiescent, so no
+// MSHR or writeback-buffer entry is live.
 func (c *cache) reset() {
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			ln := &c.sets[i][j]
+	for _, set := range c.usedSets {
+		for j := range c.sets[set] {
+			ln := &c.sets[set][j]
 			// Keep the line buffer's capacity: refills reuse it.
 			*ln = cacheLine{data: ln.data[:0]}
 		}
+		c.setUsed[set] = false
 	}
-	for base, m := range c.mshrs {
-		c.freeMSHR(m)
-		delete(c.mshrs, base)
-	}
-	for base, buf := range c.wb {
-		c.sys.putLineBuf(buf)
-		delete(c.wb, base)
-	}
+	c.usedSets = c.usedSets[:0]
 	c.stalled = c.stalled[:0]
 	c.useCtr = 0
 }
@@ -143,9 +148,10 @@ func (c *cache) touch(ln *cacheLine) {
 // access presents a load or store to the cache.
 func (c *cache) access(req memReq) {
 	base := c.sys.lineBase(req.addr)
+	slot := c.sys.lineSlot(base)
 
 	// Coalesce into an existing transaction for the line.
-	if m, ok := c.mshrs[base]; ok {
+	if m := c.mshrs[slot]; m != nil {
 		m.queued = append(m.queued, req)
 		if req.isWrite && !m.wantM {
 			// The original transaction was read-only; an upgrade will be
@@ -180,7 +186,8 @@ func (c *cache) access(req memReq) {
 			m := c.newMSHR(base, c.setIndex(base), c.wayOf(ln), true)
 			m.queued = append(m.queued, req)
 			ln.pending = true
-			c.mshrs[base] = m
+			c.mshrs[slot] = m
+			c.nMSHR++
 			c.sys.send(-1, message{typ: msgGetM, from: c.id, base: base})
 			return
 		}
@@ -195,13 +202,18 @@ func (c *cache) access(req memReq) {
 		c.stalled = append(c.stalled, req)
 		return
 	}
+	if !c.setUsed[set] {
+		c.setUsed[set] = true
+		c.usedSets = append(c.usedSets, set)
+	}
 	c.evict(set, way)
 	ln = &c.sets[set][way]
 	*ln = cacheLine{base: base, state: stateI, pending: true, data: ln.data[:0]}
 	c.touch(ln)
 	m := c.newMSHR(base, set, way, req.isWrite)
 	m.queued = append(m.queued, req)
-	c.mshrs[base] = m
+	c.mshrs[slot] = m
+	c.nMSHR++
 	typ := msgGetS
 	if req.isWrite {
 		typ = msgGetM
@@ -271,7 +283,11 @@ func (c *cache) evict(set, way int) {
 	ln := &c.sets[set][way]
 	if ln.state == stateM {
 		data := append(c.sys.getLineBuf(), ln.data...)
-		c.wb[ln.base] = data
+		slot := c.sys.lineSlot(ln.base)
+		if c.wb[slot] == nil {
+			c.nWB++
+		}
+		c.wb[slot] = data
 		c.sys.stats.Writebacks++
 		c.sys.send(-1, message{typ: msgPutM, from: c.id, base: ln.base, data: data, dirty: true})
 	}
@@ -305,9 +321,11 @@ func (c *cache) receive(m message) {
 	case msgFwdGetM:
 		c.forward(m.base, true)
 	case msgWBAck:
-		if buf, ok := c.wb[m.base]; ok {
+		slot := c.sys.lineSlot(m.base)
+		if buf := c.wb[slot]; buf != nil {
 			c.sys.putLineBuf(buf)
-			delete(c.wb, m.base)
+			c.wb[slot] = nil
+			c.nWB--
 		}
 	default:
 		panic(fmt.Sprintf("mem: cache %d received %v", c.id, m))
@@ -319,7 +337,7 @@ func (c *cache) receive(m message) {
 func (c *cache) invalidate(base uint64, mayBeSMTransient bool) {
 	notify := true
 	if mayBeSMTransient && c.sys.cfg.Bugs.StaleSMInv {
-		if m, ok := c.mshrs[base]; ok && m.wantM {
+		if m := c.mshrs[c.sys.lineSlot(base)]; m != nil && m.wantM {
 			// Bug 1: invalidation during the S→M transient fails to squash
 			// the core's already-performed loads.
 			notify = false
@@ -360,7 +378,7 @@ func (c *cache) forward(base uint64, isGetM bool) {
 		}
 		return
 	}
-	if data, ok := c.wb[base]; ok {
+	if data := c.wb[c.sys.lineSlot(base)]; data != nil {
 		if c.sys.cfg.Bugs.WBRaceDeadlock {
 			// Bug 3: the owner ignores forwarded requests racing with its
 			// writeback; the directory waits forever.
@@ -378,8 +396,9 @@ func (c *cache) forward(base uint64, isGetM bool) {
 
 // fill completes an outstanding transaction with data and permission.
 func (c *cache) fill(m message) {
-	tx, ok := c.mshrs[m.base]
-	if !ok {
+	slot := c.sys.lineSlot(m.base)
+	tx := c.mshrs[slot]
+	if tx == nil {
 		panic(fmt.Sprintf("mem: cache %d fill for line %#x without mshr", c.id, m.base))
 	}
 	ln := &c.sets[tx.set][tx.way]
@@ -431,6 +450,7 @@ func (c *cache) fill(m message) {
 	}
 	ln.pending = false
 	c.freeMSHR(tx)
-	delete(c.mshrs, m.base)
+	c.mshrs[slot] = nil
+	c.nMSHR--
 	c.retryStalled()
 }

@@ -2,7 +2,7 @@ package mem
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"mtracecheck/internal/eventq"
 )
@@ -38,7 +38,7 @@ func (s dirState) String() string {
 type dirLine struct {
 	state      dirState
 	owner      int
-	sharers    map[int]bool
+	sharers    uint64 // bit i set: cache i holds a Shared copy
 	busy       bool
 	cur        message // request in service while busy
 	acksNeeded int
@@ -48,42 +48,30 @@ type dirLine struct {
 // directory is the single home node of all lines.
 type directory struct {
 	sys   *System
-	lines map[uint64]*dirLine
-	fan   []int // scratch for deterministic invalidation fan-out
+	lines []dirLine // indexed by line slot (see System.cover)
 }
 
 func newDirectory(s *System) *directory {
-	return &directory{sys: s, lines: make(map[uint64]*dirLine)}
+	return &directory{sys: s}
 }
 
-// reset rewinds every entry to the uncached state in place, keeping the
-// entries (and their sharer maps and queues) for reuse. Entry resets are
-// independent, so map iteration order does not matter.
+// reset rewinds every entry to the uncached state in place, keeping each
+// entry's queue capacity for reuse.
 func (d *directory) reset() {
-	for _, l := range d.lines {
-		clear(l.sharers)
-		l.state = dirU
-		l.owner = 0
-		l.busy = false
-		l.cur = message{}
-		l.acksNeeded = 0
-		l.queue = l.queue[:0]
+	for i := range d.lines {
+		l := &d.lines[i]
+		*l = dirLine{queue: l.queue[:0]}
 	}
 }
 
 func (d *directory) line(base uint64) *dirLine {
-	l, ok := d.lines[base]
-	if !ok {
-		l = &dirLine{state: dirU, sharers: make(map[int]bool)}
-		d.lines[base] = l
-	}
-	return l
+	return &d.lines[d.sys.lineSlot(base)]
 }
 
 func (d *directory) busyLines() int {
 	n := 0
-	for _, l := range d.lines {
-		if l.busy {
+	for i := range d.lines {
+		if d.lines[i].busy {
 			n++
 		}
 	}
@@ -114,7 +102,7 @@ func (d *directory) receive(m message) {
 		if l.acksNeeded == 0 {
 			// All sharers gone: grant M to the requester from memory.
 			req := l.cur.from
-			clear(l.sharers)
+			l.sharers = 0
 			l.state = dirEM
 			l.owner = req
 			d.grant(req, msgDataM, m.base, 0)
@@ -130,16 +118,15 @@ func (d *directory) receive(m message) {
 		switch l.cur.typ {
 		case msgGetS:
 			l.state = dirS
-			clear(l.sharers)
-			l.sharers[req] = true
+			l.sharers = 1 << req
 			if m.keepsCopy {
-				l.sharers[m.from] = true
+				l.sharers |= 1 << m.from
 			}
 			d.grant(req, msgDataS, m.base, 0)
 		case msgGetM:
 			l.state = dirEM
 			l.owner = req
-			clear(l.sharers)
+			l.sharers = 0
 			d.grant(req, msgDataM, m.base, 0)
 		default:
 			panic(fmt.Sprintf("mem: owner response while servicing %v", l.cur.typ))
@@ -179,7 +166,7 @@ func (d *directory) service(l *dirLine, m message) {
 			l.owner = m.from
 			d.grant(m.from, msgDataE, m.base, int(d.sys.cfg.MemLat))
 		case dirS:
-			l.sharers[m.from] = true
+			l.sharers |= 1 << m.from
 			d.grant(m.from, msgDataS, m.base, 0)
 		case dirEM:
 			if l.owner == m.from {
@@ -199,26 +186,19 @@ func (d *directory) service(l *dirLine, m message) {
 			l.owner = m.from
 			d.grant(m.from, msgDataM, m.base, int(d.sys.cfg.MemLat))
 		case dirS:
-			others := d.fan[:0]
-			for s := range l.sharers {
-				if s != m.from {
-					others = append(others, s)
-				}
-			}
-			// Deterministic fan-out order: map iteration order must not
-			// influence message sequencing (and hence simulated timing).
-			sort.Ints(others)
-			d.fan = others
-			if len(others) == 0 {
+			others := l.sharers &^ (1 << m.from)
+			if others == 0 {
 				l.state = dirEM
 				l.owner = m.from
-				clear(l.sharers)
+				l.sharers = 0
 				d.grant(m.from, msgDataM, m.base, 0)
 				return
 			}
-			l.acksNeeded = len(others)
-			for _, s := range others {
-				d.sys.send(s, message{typ: msgInv, from: -1, base: m.base})
+			// Fan out in ascending cache order: the order Inv messages
+			// leave in is the order they draw network jitter.
+			l.acksNeeded = bits.OnesCount64(others)
+			for ; others != 0; others &= others - 1 {
+				d.sys.send(bits.TrailingZeros64(others), message{typ: msgInv, from: -1, base: m.base})
 			}
 		case dirEM:
 			if l.owner == m.from {
@@ -233,7 +213,7 @@ func (d *directory) service(l *dirLine, m message) {
 			copy(d.sys.memLine(m.base), m.data)
 			l.state = dirU
 			l.owner = 0
-			clear(l.sharers)
+			l.sharers = 0
 		}
 		// Stale PutM (ownership already transferred via a forward): the data
 		// was already supplied to the directory by the writeback buffer.

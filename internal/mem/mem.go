@@ -32,6 +32,12 @@
 // completions synchronously through the hook set with SetCompleteHook.
 // Messages, their line-data buffers, MSHRs, and pending-replay records are
 // all pooled, so a steady-state iteration allocates nothing.
+//
+// Per-line state — backing memory, directory entries, MSHRs and writeback
+// buffers — lives in dense tables indexed by line slot (line number minus
+// the lowest line the system has seen), not in maps. The tables grow only
+// when Reserve, Read or Write presents a line they do not yet cover; every
+// other path addresses a line some request has already touched.
 package mem
 
 import (
@@ -117,6 +123,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.Cores < 1:
 		return fmt.Errorf("mem: %d cores", c.Cores)
+	case c.Cores > maxCores:
+		return fmt.Errorf("mem: %d cores exceed the directory's %d-bit sharer mask", c.Cores, maxCores)
 	case c.LineSize <= 0 || c.WordSize <= 0 || c.LineSize%c.WordSize != 0:
 		return fmt.Errorf("mem: bad line/word sizes %d/%d", c.LineSize, c.WordSize)
 	case c.Sets < 1 || c.Ways < 1:
@@ -126,6 +134,9 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// maxCores bounds Config.Cores: the directory tracks sharers in one uint64.
+const maxCores = 64
 
 // Stats counts memory-system activity.
 type Stats struct {
@@ -145,8 +156,13 @@ type System struct {
 	rng    *rand.Rand
 	caches []*cache
 	dir    *directory
-	memory map[uint64][]uint32 // line base → word values
 	stats  Stats
+
+	// The per-line tables (memory here, dir.lines, and each cache's mshrs
+	// and wb) all share one index, slot = line number - lineLo, and one
+	// length.
+	lineLo uint64
+	memory [][]uint32 // backing-store word values; nil until first accessed
 
 	outstanding int // incomplete Read/Write operations
 
@@ -182,7 +198,7 @@ func NewSystem(q *eventq.Queue, cfg Config, rng *rand.Rand) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, q: q, rng: rng, memory: make(map[uint64][]uint32)}
+	s := &System{cfg: cfg, q: q, rng: rng}
 	s.dir = newDirectory(s)
 	for i := 0; i < cfg.Cores; i++ {
 		s.caches = append(s.caches, newCache(s, i))
@@ -214,12 +230,64 @@ func (s *System) wordIndex(addr uint64) int {
 
 func (s *System) wordsPerLine() int { return s.cfg.LineSize / s.cfg.WordSize }
 
+// lineSlot returns the per-line table index of a line the tables already cover.
+func (s *System) lineSlot(base uint64) int {
+	return int(base/uint64(s.cfg.LineSize) - s.lineLo)
+}
+
+// covers reports whether the per-line tables have a slot for base.
+func (s *System) covers(base uint64) bool {
+	return base/uint64(s.cfg.LineSize)-s.lineLo < uint64(len(s.memory))
+}
+
+// cover grows every per-line table so it has a slot for base, and no more:
+// the tables span from the lowest to the highest line seen, not from
+// address 0. Entries are moved by value: no pointer into a table is held
+// across Reserve, Read or Write, the only callers.
+func (s *System) cover(base uint64) {
+	if s.covers(base) {
+		return
+	}
+	lo := base / uint64(s.cfg.LineSize)
+	hi, shift := lo, 0
+	if n := len(s.memory); n > 0 {
+		lo, hi = min(lo, s.lineLo), max(hi, s.lineLo+uint64(n-1))
+		shift = int(s.lineLo - lo)
+	}
+	n := int(hi-lo) + 1
+	s.lineLo = lo
+	s.memory = regrow(s.memory, shift, n)
+	s.dir.lines = regrow(s.dir.lines, shift, n)
+	for _, c := range s.caches {
+		c.mshrs = regrow(c.mshrs, shift, n)
+		c.wb = regrow(c.wb, shift, n)
+	}
+}
+
+// Reserve sizes the per-line tables to cover every line from address lo to
+// address hi (lo <= hi) in one step. Read and Write still grow the tables
+// line by line on demand; a caller that knows its address range up front
+// pays one allocation per table instead.
+func (s *System) Reserve(lo, hi uint64) {
+	s.cover(lo)
+	s.cover(hi)
+}
+
+// regrow returns a table of length n holding old's entries shifted up by
+// shift slots.
+func regrow[T any](old []T, shift, n int) []T {
+	t := make([]T, n)
+	copy(t[shift:], old)
+	return t
+}
+
 // memLine returns the backing-store copy of the line, allocating zeroes.
 func (s *System) memLine(base uint64) []uint32 {
-	l, ok := s.memory[base]
-	if !ok {
+	i := s.lineSlot(base)
+	l := s.memory[i]
+	if l == nil {
 		l = make([]uint32, s.wordsPerLine())
-		s.memory[base] = l
+		s.memory[i] = l
 	}
 	return l
 }
@@ -352,6 +420,7 @@ func (s *System) finish(isWrite bool, tok int64, v uint32) {
 // Read issues a load of the word at addr on behalf of core. The completion
 // hook receives tok and the loaded value when the load performs.
 func (s *System) Read(core int, addr uint64, tok int64) {
+	s.cover(addr)
 	s.outstanding++
 	s.caches[core].access(memReq{addr: addr, tok: tok})
 }
@@ -360,6 +429,7 @@ func (s *System) Read(core int, addr uint64, tok int64) {
 // completion hook receives tok (value 0) when the store has obtained write
 // permission and updated the line (i.e. the store is globally visible).
 func (s *System) Write(core int, addr uint64, val uint32, tok int64) {
+	s.cover(addr)
 	s.outstanding++
 	s.caches[core].access(memReq{isWrite: true, addr: addr, val: val, tok: tok})
 }
@@ -374,6 +444,9 @@ func (s *System) PeekWord(addr uint64) uint32 {
 			return ln.data[idx]
 		}
 	}
+	if !s.covers(base) {
+		return 0 // never accessed: still zero
+	}
 	return s.memLine(base)[idx]
 }
 
@@ -383,7 +456,7 @@ func (s *System) Quiescent() bool {
 		return false
 	}
 	for _, c := range s.caches {
-		if len(c.mshrs) != 0 || len(c.wb) != 0 || len(c.stalled) != 0 {
+		if c.nMSHR != 0 || c.nWB != 0 || len(c.stalled) != 0 {
 			return false
 		}
 	}
@@ -392,7 +465,7 @@ func (s *System) Quiescent() bool {
 
 // Reset restores the initial state (all memory zero, caches empty) between
 // test iterations. The system must be quiescent. Backing storage (line
-// buffers, directory entries, pools, map capacity) is zeroed in place and
+// buffers, directory entries, pools, per-line tables) is zeroed in place and
 // kept for reuse, so a reset system behaves identically to a freshly built
 // one without re-paying its construction allocations.
 func (s *System) Reset() error {

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mtracecheck/internal/eventq"
@@ -374,6 +375,7 @@ func TestConfigValidate(t *testing.T) {
 		{Cores: 1, LineSize: 63, WordSize: 4, Sets: 1, Ways: 1},
 		{Cores: 1, LineSize: 64, WordSize: 4, Sets: 0, Ways: 1},
 		{Cores: 1, LineSize: 64, WordSize: 4, Sets: 1, Ways: 1, NetLat: -1},
+		{Cores: 65, LineSize: 64, WordSize: 4, Sets: 1, Ways: 1}, // sharer mask holds 64
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -382,6 +384,37 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := DefaultConfig(4).Validate(); err != nil {
 		t.Errorf("DefaultConfig invalid: %v", err)
+	}
+}
+
+// TestInvalidationFanOutOrder pins the order the directory sends Inv
+// messages in: ascending cache ID, whatever order the sharers joined in.
+// Each send draws network jitter, so the order is part of simulated timing.
+// With zero jitter every Inv takes the same latency and the queue pops ties
+// FIFO, so delivery order is send order.
+func TestInvalidationFanOutOrder(t *testing.T) {
+	cfg := DefaultConfig(4)
+	cfg.Jitter = 0
+	q, s, b := newSys(t, 4, cfg)
+	const addr = 0x3000
+	for _, core := range []int{3, 0, 2} {
+		b.read(core, addr, func(uint32) {})
+		drain(t, q, s)
+	}
+	var invs []int
+	q.SetHandler(func(ev eventq.Event) {
+		if ev.Kind == kindDeliver && s.msgs[ev.Op].typ == msgInv {
+			invs = append(invs, int(ev.Core))
+		}
+		s.Dispatch(ev)
+	})
+	b.write(1, addr, 5, func() {})
+	drain(t, q, s)
+	if want := []int{0, 2, 3}; !slices.Equal(invs, want) {
+		t.Errorf("Inv fan-out order %v, want %v", invs, want)
+	}
+	if got := s.PeekWord(addr); got != 5 {
+		t.Errorf("PeekWord = %d after the write, want 5", got)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"math/rand"
 	"sync/atomic"
 
@@ -222,6 +223,10 @@ type thread struct {
 	// A clean thread is at pump's fixpoint — pumping it again would start
 	// nothing and draw no randomness — so pump skips it.
 	dirty bool
+	// waiting has bit i set exactly while op i is issued, not in flight and
+	// not performed: the only ops startable can start. pump's start scan
+	// walks these bits instead of every op in [low, next).
+	waiting []uint64
 
 	committedFences   int
 	drainedStores     int
@@ -238,6 +243,7 @@ func (t *thread) reset(r *Runner) {
 	t.dirty = true
 	t.committedFences = 0
 	t.drainedStores = 0
+	clear(t.waiting)
 	clear(t.drainedByWord)
 	clear(t.performedLdByWord)
 	ops := r.prog.Threads[t.slot].Ops
@@ -358,6 +364,12 @@ func NewRunner(plat Platform, p *prog.Program, seed int64) (*Runner, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	// The squash hook maps invalidated lines back to words with the
+	// program's layout, so both must agree on what a line is.
+	if p.Layout.LineSize != plat.Mem.LineSize {
+		return nil, fmt.Errorf("sim: program layout line size %d differs from the platform's %d-byte cache lines",
+			p.Layout.LineSize, plat.Mem.LineSize)
+	}
 	if !plat.OS.Enabled && p.NumThreads() > plat.Cores {
 		return nil, fmt.Errorf("sim: %d threads exceed %d cores without OS scheduling",
 			p.NumThreads(), plat.Cores)
@@ -423,6 +435,7 @@ func NewRunner(plat Platform, p *prog.Program, seed int64) (*Runner, error) {
 			slot:              ti,
 			static:            r.static[ti],
 			ops:               make([]opRec, len(th.Ops)),
+			waiting:           make([]uint64, (len(th.Ops)+63)/64),
 			drainedByWord:     make([]int, p.NumWords),
 			performedLdByWord: make([]int, p.NumWords),
 		}
@@ -463,6 +476,10 @@ func (r *Runner) prepare() error {
 			return err
 		}
 		r.ms = ms
+		if n := r.prog.NumWords; n > 0 {
+			layout := r.prog.Layout
+			ms.Reserve(layout.AddrOf(0), layout.AddrOf(n-1))
+		}
 		ms.SetInvalHook(r.eng.onInvalidate)
 		ms.SetCompleteHook(r.eng.onMemComplete)
 		r.dirty = false
@@ -698,6 +715,7 @@ func (e *engine) pump() {
 			before := t.next + t.commit
 			for t.next < len(t.ops) && t.next-t.commit < e.r.plat.Window {
 				t.ops[t.next].issued = true
+				t.setWaiting(t.next)
 				t.next++
 			}
 			e.commitSweep(t)
@@ -705,24 +723,41 @@ func (e *engine) pump() {
 				break
 			}
 		}
-		// Start eligible operations. The scan begins at the oldest op that
-		// is not fully retired: committed stores may still be draining from
-		// the store buffer, and committed is not performed for them.
+		// Start eligible operations, in op order, among the waiting ones.
+		// The scan begins at the oldest op that is not fully retired:
+		// committed stores may still be draining from the store buffer, and
+		// committed is not performed for them. Starting op i clears only
+		// bit i, so each word is read once.
 		for t.low < t.next && t.ops[t.low].committed && t.ops[t.low].performed {
 			t.low++
 		}
-		for i := t.low; i < t.next; i++ {
-			switch e.startable(t, i) {
-			case startForward:
-				e.startForward(t, i)
-			case startRead:
-				e.startRead(t, i)
-			case startDrain:
-				e.startDrain(t, i)
+		for w := t.low / 64; w*64 < t.next; w++ {
+			word := t.waiting[w]
+			if w == t.low/64 {
+				word &= ^uint64(0) << (t.low % 64)
+			}
+			for ; word != 0; word &= word - 1 {
+				i := w*64 + bits.TrailingZeros64(word)
+				if i >= t.next {
+					break
+				}
+				switch e.startable(t, i) {
+				case startForward:
+					e.startForward(t, i)
+				case startRead:
+					e.startRead(t, i)
+				case startDrain:
+					e.startDrain(t, i)
+				}
 			}
 		}
 	}
 }
+
+// setWaiting and clearWaiting keep op i's bit in t.waiting in step with
+// its issued, inFlight and performed flags.
+func (t *thread) setWaiting(i int)   { t.waiting[i/64] |= 1 << (i % 64) }
+func (t *thread) clearWaiting(i int) { t.waiting[i/64] &^= 1 << (i % 64) }
 
 // canCommit reports whether the op at t's commit pointer may retire now.
 func (e *engine) canCommit(t *thread) bool {
@@ -760,6 +795,7 @@ func (e *engine) commitSweep(t *thread) {
 		case prog.Fence:
 			t.committedFences++
 			o.performed = true
+			t.clearWaiting(t.commit)
 		}
 		o.committed = true
 		o.committedAt = e.q.Now()
@@ -848,6 +884,7 @@ func (e *engine) startable(t *thread, i int) startKind {
 func (e *engine) startForward(t *thread, i int) {
 	o := &t.ops[i]
 	o.inFlight = true
+	t.clearWaiting(i)
 	delay := 1 + e.coreDelay(t.core)
 	e.q.PushAfter(delay, eventq.Event{Kind: evLoadFwd,
 		Core: int32(t.slot), Op: int32(i), Arg: int64(o.epoch)})
@@ -858,6 +895,7 @@ func (e *engine) startForward(t *thread, i int) {
 func (e *engine) startRead(t *thread, i int) {
 	o := &t.ops[i]
 	o.inFlight = true
+	t.clearWaiting(i)
 	delay := e.coreDelay(t.core)
 	if m := e.r.plat.IssueJitterMax; m > 0 {
 		delay += eventq.Time(e.rng.Intn(m + 1))
@@ -896,6 +934,7 @@ func (e *engine) finishLoad(t *thread, i, epoch int, v uint32, forwarded bool) {
 func (e *engine) startDrain(t *thread, i int) {
 	o := &t.ops[i]
 	o.inFlight = true
+	t.clearWaiting(i)
 	delay := e.coreDelay(t.core)
 	if m := e.r.plat.DrainDelayMax; m > 0 {
 		delay += eventq.Time(e.rng.Intn(m + 1))
@@ -950,6 +989,7 @@ func (e *engine) onInvalidate(core int, lineBase uint64) {
 			o.squashes++
 			e.exec.Squashes++
 			e.pending++
+			t.setWaiting(i)
 			t.dirty = true
 			squashed = true
 		}

@@ -103,6 +103,7 @@ func (e *engine) flushPipeline(t *thread) {
 			o.squashes++
 			e.exec.Squashes++
 			e.pending++
+			t.setWaiting(i)
 			t.dirty = true
 		}
 	}

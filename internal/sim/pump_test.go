@@ -10,8 +10,10 @@ import (
 // after every event, no running, started thread whose dirty flag is clear
 // may have an op that could commit, issue or start. A state change that
 // forgets to mark its thread dirty leaves startable work behind and fails
-// here. The check wraps the runner's own handler, so the engine carries no
-// test hook.
+// here. It also checks that every thread's waiting set — the only ops
+// pump's start scan looks at — holds exactly the issued, not in flight,
+// not performed ops. The check wraps the runner's own handler, so the
+// engine carries no test hook.
 func TestPumpFixpoint(t *testing.T) {
 	want := map[string]bool{"x86": true, "arm": true, "x86_os": true, "x86_os_fit": true, "x86_sc": true, "x86_pso": true}
 	for _, g := range goldenPlatforms() {
@@ -28,6 +30,14 @@ func TestPumpFixpoint(t *testing.T) {
 			e.dispatch(ev)
 			events++
 			for _, th := range e.threads {
+				for i := range th.ops {
+					o := &th.ops[i]
+					want := o.issued && !o.inFlight && !o.performed
+					if got := th.waiting[i/64]>>(i%64)&1 == 1; got != want {
+						t.Fatalf("%s event %d (kind %d): thread %d op %d waiting bit %v, want %v (issued %v, in flight %v, performed %v)",
+							g.name, events, ev.Kind, th.slot, i, got, want, o.issued, o.inFlight, o.performed)
+					}
+				}
 				if !th.running || !th.started || th.dirty {
 					continue
 				}

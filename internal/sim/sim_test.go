@@ -253,6 +253,27 @@ func TestThreadsExceedCoresRequiresOS(t *testing.T) {
 	}
 }
 
+// TestRunnerRejectsLineSizeMismatch: the squash hook maps an invalidated
+// line back to words with the program's layout, while the memory system
+// invalidates by its own line size. A program laid out on 32-byte lines run
+// on 64-byte-line x86 misses squashes and reports hundreds of false
+// violations, so NewRunner refuses the pair and names both sizes.
+func TestRunnerRejectsLineSizeMismatch(t *testing.T) {
+	p := testgen.MustGenerate(testgen.Config{Threads: 4, OpsPerThread: 50, Words: 8, Seed: 1})
+	p.Layout.LineSize = 32
+	_, err := NewRunner(PlatformX86(), p, 1)
+	if err == nil {
+		t.Fatal("32-byte program layout accepted on a 64-byte-line platform")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "32") || !strings.Contains(msg, "64") {
+		t.Errorf("error %q does not name both line sizes", msg)
+	}
+	p.Layout.LineSize = 64
+	if _, err := NewRunner(PlatformX86(), p, 1); err != nil {
+		t.Errorf("matching line sizes rejected: %v", err)
+	}
+}
+
 func TestOSModeForbiddenStillForbidden(t *testing.T) {
 	// OS preemption must not break the MCM: forbidden outcomes stay
 	// forbidden (paper runs the same tests under Linux).

@@ -299,6 +299,14 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	if _, err := RunProgram(p, Options{Platform: PlatformX86(), Iterations: 1}); err == nil {
 		t.Error("7 threads on the 4-core platform accepted")
 	}
+	// A layout whose lines differ from the platform's cache lines would
+	// miss load squashes and report false violations.
+	p = testgen.MustGenerate(TestConfig{Threads: 4, OpsPerThread: 50, Words: 8, Seed: 1})
+	p.Layout.LineSize = 32
+	_, err := RunProgram(p, Options{Platform: PlatformX86(), Iterations: 1})
+	if err == nil || !strings.Contains(err.Error(), "line size 32") {
+		t.Errorf("32-byte layout on 64-byte lines: err = %v, want a line-size mismatch", err)
+	}
 }
 
 func TestPrunerOptionWiredThrough(t *testing.T) {

@@ -2,13 +2,16 @@
 // from stdin) into a machine-readable JSON object mapping benchmark name to
 // its metrics:
 //
-//	{"BenchmarkSimIterationX86": {"ns_op": 786043, "b_op": 414420, "allocs_op": 6410}, ...}
+//	{"BenchmarkSimIterationX86": {"ns_op": 786043, "ns_op_min": 771002, "ns_op_max": 802113, "samples": 5, ...}, ...}
 //
 // The -cpu suffix GOMAXPROCS appends to benchmark names is stripped, so
 // successive runs on the same machine key identically. Custom ReportMetric
 // units (graphs/op, uniques/op, ...) are carried through under their unit
-// name with "/" replaced by "_". It backs `make bench`, which snapshots each
-// run as BENCH_<n>.json for allocation-regression comparisons.
+// name with "/" replaced by "_". A benchmark that appears several times
+// (go test -count N) records the median of each metric under the metric's
+// name, its spread under <name>_min and <name>_max, and the sample count
+// under "samples". It backs `make bench`, which snapshots each run as
+// BENCH_<n>.json for regression comparisons.
 //
 // With -metrics <file>, a Prometheus text-format snapshot (as written by
 // `mtracecheck -metrics-out`) is embedded under the "_metrics" key, so each
@@ -16,8 +19,11 @@
 // sorted vertices, stage seconds — that contextualize its timings.
 //
 // With -diff OLD.json NEW.json, it instead compares two snapshots, printing
-// a per-benchmark table of ns/op, B/op, and allocs/op deltas with percent
-// change (negative = NEW is better). It backs `make bench-diff`.
+// a per-benchmark table of ns/op, B/op, and allocs/op medians. The percent
+// change (negative = NEW is better) is printed only when the two min–max
+// ranges do not overlap; a change inside the spread prints "~". A snapshot
+// without _min/_max entries (one sample per benchmark) counts as a range of
+// one point. It backs `make bench-diff`.
 package main
 
 import (
@@ -88,9 +94,16 @@ func diff(out io.Writer, oldPath, newPath string) error {
 			if !oOK || !nOK {
 				continue
 			}
-			delta := "n/a"
-			if ov != 0 {
+			oLo, oHi := o.spread(unit)
+			nLo, nHi := n.spread(unit)
+			delta := "~"
+			switch {
+			case oHi >= nLo && nHi >= oLo:
+				// The ranges overlap: the change is within the noise.
+			case ov != 0:
 				delta = fmt.Sprintf("%+.1f%%", 100*(nv-ov)/ov)
+			default:
+				delta = "n/a"
 			}
 			fmt.Fprintf(out, "%-34s %-8s %14.0f %14.0f %9s\n", name, unit, ov, nv, delta)
 		}
@@ -128,8 +141,42 @@ func readSnapshot(path string) (map[string]metrics, error) {
 
 type metrics map[string]float64
 
+// spread returns the min–max range recorded for unit, or the single value
+// when the snapshot holds one sample.
+func (m metrics) spread(unit string) (lo, hi float64) {
+	lo, okLo := m[unit+"_min"]
+	hi, okHi := m[unit+"_max"]
+	if !okLo || !okHi {
+		return m[unit], m[unit]
+	}
+	return lo, hi
+}
+
+// summarize folds the samples of one benchmark into its median, min and
+// max per metric, plus the sample count.
+func summarize(samples []metrics) metrics {
+	byUnit := map[string][]float64{}
+	for _, m := range samples {
+		for unit, v := range m {
+			byUnit[unit] = append(byUnit[unit], v)
+		}
+	}
+	out := metrics{"samples": float64(len(samples))}
+	for unit, vs := range byUnit {
+		sort.Float64s(vs)
+		med := vs[len(vs)/2]
+		if len(vs)%2 == 0 {
+			med = (vs[len(vs)/2-1] + med) / 2
+		}
+		out[unit] = med
+		out[unit+"_min"] = vs[0]
+		out[unit+"_max"] = vs[len(vs)-1]
+	}
+	return out
+}
+
 func run(in io.Reader, out io.Writer, metricsFile string) error {
-	results := map[string]metrics{}
+	samples := map[string][]metrics{}
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -137,14 +184,18 @@ func run(in io.Reader, out io.Writer, metricsFile string) error {
 		fmt.Fprintln(os.Stderr, line) // echo so the run stays watchable
 		name, m, ok := parseLine(line)
 		if ok {
-			results[name] = m
+			samples[name] = append(samples[name], m)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return err
 	}
-	if len(results) == 0 {
+	if len(samples) == 0 {
 		return fmt.Errorf("no benchmark result lines on stdin")
+	}
+	results := map[string]metrics{}
+	for name, ms := range samples {
+		results[name] = summarize(ms)
 	}
 	if metricsFile != "" {
 		m, err := readPrometheus(metricsFile)
