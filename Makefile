@@ -33,6 +33,7 @@ fuzz-short:
 	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzChunkUpload$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/corpus -run '^$$' -fuzz '^FuzzCorpusLoad$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/eventq -run '^$$' -fuzz '^FuzzQueueOrder$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzDynamicEdges$$' -fuzztime $(FUZZTIME)
 
 # Observability smoke: the same campaign run bare and with all three
 # observers attached must print a bit-identical report (the observers'

@@ -3,6 +3,7 @@ package mtracecheck
 import (
 	"testing"
 
+	"mtracecheck/internal/graph"
 	"mtracecheck/internal/instrument"
 	"mtracecheck/internal/sig"
 	"mtracecheck/internal/sim"
@@ -165,5 +166,34 @@ func TestReportBitIdenticalAcrossWorkers(t *testing.T) {
 					workers, i, g.Sig, g.Count, u.Sig, u.Count)
 			}
 		}
+	}
+}
+
+// TestDynamicEdgesAllocBudget pins constraint-edge construction to its
+// result: nothing at all when dst has room, one allocation (the result)
+// when dst is nil. Scratch memory is pooled on the builder.
+func TestDynamicEdgesAllocBudget(t *testing.T) {
+	builder, rfs := dynamicEdgesFixture(t)
+	dst := make([]graph.Edge, 0, 4*builder.NumOps())
+	i := 0
+	next := func() []int32 { i++; return rfs[i%len(rfs)] }
+	for range rfs { // warm the pooled scratch
+		if _, err := builder.AppendDynamicEdges(dst[:0], next(), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := builder.AppendDynamicEdges(dst[:0], next(), nil); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 0 {
+		t.Errorf("AppendDynamicEdges into a roomy dst: %.0f allocs/run, budget 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := builder.AppendDynamicEdges(nil, next(), nil); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1 {
+		t.Errorf("AppendDynamicEdges into a nil dst: %.0f allocs/run, budget 1 (the result)", allocs)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"mtracecheck/internal/instrument"
 	"mtracecheck/internal/isa"
 	"mtracecheck/internal/mem"
+	"mtracecheck/internal/prog"
 	"mtracecheck/internal/sig"
 	"mtracecheck/internal/sim"
 	"mtracecheck/internal/testgen"
@@ -660,4 +661,75 @@ func BenchmarkVectorClockCheckSimData(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(f.items)), "graphs/op")
+}
+
+// dynamicEdgesFixture builds the check-gem5bug-shaped edge workload: a
+// 4×50-op program over 8 words packed 4 to a line, an x86 forwarding
+// builder, and 64 SC-reference executions as dense reads-from slices.
+func dynamicEdgesFixture(tb testing.TB) (*graph.Builder, [][]int32) {
+	tb.Helper()
+	p, err := testgen.Generate(TestConfig{Threads: 4, OpsPerThread: 50, Words: 8, WordsPerLine: 4, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	builder := graph.NewBuilder(p, sim.PlatformX86().Model, graph.Options{Forwarding: true})
+	rng := rand.New(rand.NewSource(1))
+	rfs := make([][]int32, 64)
+	for i := range rfs {
+		rf, _ := testgen.SCReference(p, rng)
+		rfs[i] = make([]int32, p.NumOps())
+		for id, st := range rf {
+			rfs[i][id] = int32(st)
+		}
+	}
+	return builder, rfs
+}
+
+// BenchmarkDynamicEdges: per-execution constraint-edge construction, the
+// graph layer of the host-side check, with a fresh result slice per call
+// as the decode stage uses it.
+func BenchmarkDynamicEdges(b *testing.B) {
+	builder, rfs := dynamicEdgesFixture(b)
+	edges := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := builder.AppendDynamicEdges(nil, rfs[i%len(rfs)], nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		edges += len(out)
+	}
+	b.ReportMetric(float64(edges)/float64(b.N), "edges/op")
+}
+
+// BenchmarkDynamicEdgesHotStore: one store read by 10,000 loads (100
+// reader threads of 100 loads), passed as an RF map as CheckTrace and the
+// ablations pass it, so edges arrive in map order and one U bucket holds
+// an rf edge per load. Pins the sort's linear time on skewed input.
+func BenchmarkDynamicEdgesHotStore(b *testing.B) {
+	pb := prog.NewBuilder("hot-store", 1, prog.DefaultLayout()).Thread().Store(0).Store(0)
+	for range 100 {
+		pb.Thread()
+		for range 100 {
+			pb.Load(0)
+		}
+	}
+	p := pb.MustBuild()
+	builder := graph.NewBuilder(p, sim.PlatformX86().Model, graph.Options{Forwarding: true})
+	rf := graph.RF{}
+	for _, op := range p.Ops() {
+		if op.Kind == prog.Load {
+			rf[op.ID] = 0
+		}
+	}
+	edges := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := builder.DynamicEdges(rf, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		edges += len(out)
+	}
+	b.ReportMetric(float64(edges)/float64(b.N), "edges/op")
 }

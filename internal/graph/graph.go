@@ -10,6 +10,7 @@ package graph
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"mtracecheck/internal/mcm"
 	"mtracecheck/internal/prog"
@@ -83,7 +84,9 @@ const (
 )
 
 // Builder constructs constraint graphs for many executions of one program
-// under one model, amortizing the static program-order edges.
+// under one model, amortizing the static program-order edges and the dense
+// per-operation tables that dynamic-edge construction reads. A Builder is
+// safe for concurrent use by several decode workers.
 type Builder struct {
 	prog    *prog.Program
 	model   mcm.Model
@@ -91,46 +94,65 @@ type Builder struct {
 	n       int
 	static  [][]int32 // static adjacency: po (model) + same-address + fences
 	statCnt int
-	// lastOwnStore maps a load op ID to the latest preceding same-thread
-	// same-word store op ID (used for conditional forwarding edges).
-	lastOwnStore map[int]int
-	// nextOwnStore maps a store op ID to the next same-thread same-word
-	// store op ID (static fr targets in WSStatic mode).
-	nextOwnStore map[int]int
-	// firstStores maps a word to each thread's first store to it (static
-	// fr targets for initial-value reads in WSStatic mode).
-	firstStores map[int][]int
+	// ops lists the program's operations by ID.
+	ops []prog.Op
+	// lastOwnStore[id] is the latest same-thread same-word store preceding
+	// load id, or -1 (used for conditional forwarding edges).
+	lastOwnStore []int32
+	// nextOwnStore[id] is the next same-thread same-word store after store
+	// id, or -1 (static fr targets in WSStatic mode).
+	nextOwnStore []int32
+	// firstStores[w] lists each thread's first store to word w (static fr
+	// targets for initial-value reads in WSStatic mode).
+	firstStores [][]int32
 	// loads lists every load op ID in ID order (for the dense rf path).
 	loads []int32
+	// free holds the edge scratches not in use, guarded by mu. Unlike a
+	// sync.Pool it never drops them, so once warm edge construction
+	// allocates only its result, also under the race detector.
+	mu   sync.Mutex
+	free []*edgeScratch
 }
 
-// NewBuilder precomputes the static (execution-independent) edges.
+// edgeScratch is one call's working memory for dynamic-edge construction.
+type edgeScratch struct {
+	raw   []Edge  // edges as emitted, unsorted, possibly duplicated
+	byV   []Edge  // raw sorted by V, the first pass of appendSorted
+	count []int32 // 2(n+1) bucket offsets, by V then by U, all zero between calls
+	wsPos []int32 // observed mode: store ID -> position in its word's ws order, or -1
+}
+
+// NewBuilder precomputes the static (execution-independent) edges and the
+// per-operation tables.
 func NewBuilder(p *prog.Program, model mcm.Model, opts Options) *Builder {
 	b := &Builder{prog: p, model: model, opts: opts, n: p.NumOps()}
 	b.static = make([][]int32, b.n)
-	b.lastOwnStore = make(map[int]int)
-	b.nextOwnStore = make(map[int]int)
-	b.firstStores = make(map[int][]int)
+	b.ops = p.Ops()
+	b.lastOwnStore = make([]int32, b.n)
+	b.nextOwnStore = make([]int32, b.n)
+	for id := range b.n {
+		b.lastOwnStore[id], b.nextOwnStore[id] = -1, -1
+	}
+	b.firstStores = make([][]int32, p.NumWords)
+	latest := make([]int32, p.NumWords) // this thread's latest store per word, or -1
 	for _, th := range p.Threads {
 		b.buildThreadPO(th.Ops)
-		latest := map[int]int{}
-		seenFirst := map[int]bool{}
+		for w := range latest {
+			latest[w] = -1
+		}
 		for _, op := range th.Ops {
+			id := int32(op.ID)
 			switch op.Kind {
 			case prog.Load:
-				b.loads = append(b.loads, int32(op.ID))
-				if st, ok := latest[op.Word]; ok {
-					b.lastOwnStore[op.ID] = st
-				}
+				b.loads = append(b.loads, id)
+				b.lastOwnStore[id] = latest[op.Word]
 			case prog.Store:
-				if st, ok := latest[op.Word]; ok {
-					b.nextOwnStore[st] = op.ID
+				if prev := latest[op.Word]; prev >= 0 {
+					b.nextOwnStore[prev] = id
+				} else {
+					b.firstStores[op.Word] = append(b.firstStores[op.Word], id)
 				}
-				latest[op.Word] = op.ID
-				if !seenFirst[op.Word] {
-					seenFirst[op.Word] = true
-					b.firstStores[op.Word] = append(b.firstStores[op.Word], op.ID)
-				}
+				latest[op.Word] = id
 			}
 		}
 	}
@@ -201,75 +223,97 @@ func (b *Builder) StaticEdgeCount() int { return b.statCnt }
 //     the initial value precede the word's first store. Transitivity
 //     through the ws chain covers later stores.
 func (b *Builder) DynamicEdges(rf RF, ws WS) ([]Edge, error) {
-	var edges []Edge
-	edges, wsPos, err := b.startDynamicEdges(edges, ws)
+	s, err := b.begin(ws)
+	defer b.release(s)
 	if err != nil {
 		return nil, err
 	}
 	for loadID, storeID := range rf {
-		load := b.prog.OpByID(loadID)
-		if load.Kind != prog.Load {
+		if loadID < 0 || loadID >= b.n {
+			return nil, fmt.Errorf("graph: rf references op %d outside the program's %d ops", loadID, b.n)
+		}
+		if b.ops[loadID].Kind != prog.Load {
 			return nil, fmt.Errorf("graph: rf references non-load op %d", loadID)
 		}
-		edges, err = b.appendLoadEdges(edges, loadID, storeID, ws, wsPos)
-		if err != nil {
+		if err := b.emitLoad(s, int32(loadID), storeID, ws); err != nil {
 			return nil, err
 		}
 	}
-	sortEdges(edges)
-	return dedupEdges(edges), nil
+	return s.appendSorted(nil), nil
 }
 
 // AppendDynamicEdges is DynamicEdges over a dense reads-from slice indexed by
 // op ID (rf[loadID] = source store op ID, or -1 for a read of the initial
 // value — the shape instrument.Meta.DecodeInto fills). Every load op must
-// have an entry; non-load slots are ignored. Edges are appended to dst
-// (callers reuse a scratch buffer via dst[:0]) and the sorted, de-duplicated
-// result is returned. The output is identical to the map-based DynamicEdges
-// over the equivalent RF map.
+// have an entry; non-load slots are ignored. The sorted, de-duplicated edges
+// are appended to dst, whose existing elements are left untouched as a
+// prefix; dst grows at most once, by the number of edges emitted.
+// The appended edges are identical to DynamicEdges over the equivalent RF
+// map.
 func (b *Builder) AppendDynamicEdges(dst []Edge, rf []int32, ws WS) ([]Edge, error) {
 	if len(rf) < b.n {
 		return nil, fmt.Errorf("graph: dense rf has %d entries, need %d", len(rf), b.n)
 	}
-	edges, wsPos, err := b.startDynamicEdges(dst, ws)
+	s, err := b.begin(ws)
+	defer b.release(s)
 	if err != nil {
 		return nil, err
 	}
 	for _, loadID := range b.loads {
-		edges, err = b.appendLoadEdges(edges, int(loadID), int(rf[loadID]), ws, wsPos)
-		if err != nil {
+		if err := b.emitLoad(s, loadID, int(rf[loadID]), ws); err != nil {
 			return nil, err
 		}
 	}
-	sortEdges(edges)
-	return dedupEdges(edges), nil
+	return s.appendSorted(dst), nil
 }
 
-// startDynamicEdges emits the ws-chain edges and builds the store→position
-// index when coherence order is observed; in static mode it does nothing
-// (and allocates nothing).
-func (b *Builder) startDynamicEdges(edges []Edge, ws WS) ([]Edge, map[int]int, error) {
-	if b.opts.WS != WSObserved {
-		return edges, nil, nil
+// begin takes a free scratch, or makes one, and, when coherence order is
+// observed, emits the ws-chain edges and records each store's position in
+// its word's order. The caller hands the scratch back with release.
+func (b *Builder) begin(ws WS) (*edgeScratch, error) {
+	var s *edgeScratch
+	b.mu.Lock()
+	if k := len(b.free); k > 0 {
+		s, b.free = b.free[k-1], b.free[:k-1]
 	}
-	wsPos := make(map[int]int, 64) // store ID -> position within its word's order
-	for _, stores := range ws {
-		for i, s := range stores {
-			wsPos[s] = i
+	b.mu.Unlock()
+	if s == nil {
+		s = &edgeScratch{count: make([]int32, 2*(b.n+1)), wsPos: make([]int32, b.n)}
+	}
+	s.raw = s.raw[:0]
+	if b.opts.WS != WSObserved {
+		return s, nil
+	}
+	for i := range s.wsPos {
+		s.wsPos[i] = -1
+	}
+	for w, stores := range ws {
+		for i, st := range stores {
+			if st < 0 || st >= b.n {
+				return s, fmt.Errorf("graph: ws of word %d references op %d outside the program's %d ops", w, st, b.n)
+			}
+			s.wsPos[st] = int32(i)
 			if i > 0 {
-				edges = append(edges, Edge{int32(stores[i-1]), int32(s)})
+				s.raw = append(s.raw, Edge{int32(stores[i-1]), int32(st)})
 			}
 		}
 	}
-	return edges, wsPos, nil
+	return s, nil
 }
 
-// appendLoadEdges emits the rf/fr/forwarding edges contributed by one load
-// reading from storeID (negative = initial value). wsPos is non-nil exactly
-// in observed mode.
-func (b *Builder) appendLoadEdges(edges []Edge, loadID, storeID int, ws WS, wsPos map[int]int) ([]Edge, error) {
-	observed := wsPos != nil
-	load := b.prog.OpByID(loadID)
+// release returns a scratch taken by begin to the free list.
+func (b *Builder) release(s *edgeScratch) {
+	b.mu.Lock()
+	b.free = append(b.free, s)
+	b.mu.Unlock()
+}
+
+// emitLoad appends the rf/fr/forwarding edges contributed by one load
+// reading from storeID (negative = initial value). loadID is in range.
+func (b *Builder) emitLoad(s *edgeScratch, loadID int32, storeID int, ws WS) error {
+	observed := b.opts.WS == WSObserved
+	word := b.ops[loadID].Word
+	own := b.lastOwnStore[loadID]
 	if storeID < 0 {
 		// Read the initial value: the load precedes every store to the
 		// word. Observed mode: the first store in coherence order
@@ -279,67 +323,96 @@ func (b *Builder) appendLoadEdges(edges []Edge, loadID, storeID int, ws WS, wsPo
 		if b.opts.DropFR {
 			// no fr edges
 		} else if observed {
-			if chain := ws[load.Word]; len(chain) > 0 {
-				edges = append(edges, Edge{int32(loadID), int32(chain[0])})
+			if chain := ws[word]; len(chain) > 0 {
+				s.raw = append(s.raw, Edge{loadID, int32(chain[0])})
 			}
 		} else {
-			for _, st := range b.firstStores[load.Word] {
-				edges = append(edges, Edge{int32(loadID), int32(st)})
+			for _, st := range b.firstStores[word] {
+				s.raw = append(s.raw, Edge{loadID, st})
 			}
 		}
-		if own, ok := b.lastOwnStore[loadID]; ok && b.opts.Forwarding {
+		if own >= 0 && b.opts.Forwarding {
 			// Reading the initial value despite an own preceding store
 			// is a uniprocessor violation; the reinstated edge (plus the
 			// fr edge above) exposes it as a cycle.
-			edges = append(edges, Edge{int32(own), int32(loadID)})
+			s.raw = append(s.raw, Edge{own, loadID})
 		}
-		return edges, nil
+		return nil
 	}
-	st := b.prog.OpByID(storeID)
-	if st.Kind != prog.Store || st.Word != load.Word {
-		return nil, fmt.Errorf("graph: rf store %d incompatible with load %d", storeID, loadID)
+	if storeID >= b.n {
+		return fmt.Errorf("graph: load %d reads op %d outside the program's %d ops", loadID, storeID, b.n)
 	}
-	if st.Thread != load.Thread {
-		edges = append(edges, Edge{int32(storeID), int32(loadID)})
-	} else if !b.opts.Forwarding {
-		// Single-copy atomicity: the read implies global visibility.
-		edges = append(edges, Edge{int32(storeID), int32(loadID)})
+	st, store := b.ops[storeID], int32(storeID)
+	if st.Kind != prog.Store || st.Word != word {
+		return fmt.Errorf("graph: rf store %d incompatible with load %d", storeID, loadID)
 	}
-	if b.opts.Forwarding {
+	if st.Thread != b.ops[loadID].Thread || !b.opts.Forwarding {
+		// Cross-thread, or single-copy atomicity: the read implies
+		// global visibility.
+		s.raw = append(s.raw, Edge{store, loadID})
+	}
+	if b.opts.Forwarding && own >= 0 && own != store {
 		// No forwarding happened if the load read anything other than
 		// its own latest preceding store: reinstate the same-address
 		// store→load program order for this execution.
-		if own, ok := b.lastOwnStore[loadID]; ok && own != storeID {
-			edges = append(edges, Edge{int32(own), int32(loadID)})
-		}
+		s.raw = append(s.raw, Edge{own, loadID})
 	}
 	// from-read: the load precedes whatever overwrites the store it
 	// read. Observed mode: the immediate coherence-order successor.
 	// Static mode: the store's next same-thread same-word store.
 	if b.opts.DropFR {
-		return edges, nil
+		return nil
 	}
 	if observed {
-		pos, ok := wsPos[storeID]
-		if !ok {
-			return nil, fmt.Errorf("graph: rf store %d missing from ws of word %d", storeID, load.Word)
+		pos := s.wsPos[storeID]
+		if pos < 0 {
+			return fmt.Errorf("graph: rf store %d missing from ws of word %d", storeID, word)
 		}
-		if chain := ws[load.Word]; pos+1 < len(chain) {
-			edges = append(edges, Edge{int32(loadID), int32(chain[pos+1])})
+		if chain := ws[word]; int(pos)+1 < len(chain) {
+			s.raw = append(s.raw, Edge{loadID, int32(chain[pos+1])})
 		}
-	} else if next, ok := b.nextOwnStore[storeID]; ok {
-		edges = append(edges, Edge{int32(loadID), int32(next)})
+	} else if next := b.nextOwnStore[storeID]; next >= 0 {
+		s.raw = append(s.raw, Edge{loadID, next})
 	}
-	return edges, nil
+	return nil
 }
 
-func sortEdges(edges []Edge) {
-	slices.SortFunc(edges, func(a, b Edge) int {
-		if a.U != b.U {
-			return int(a.U) - int(b.U)
-		}
-		return int(a.V) - int(b.V)
-	})
+// appendSorted appends the emitted edges to dst sorted by (U, V) and
+// de-duplicated, in O(E + n) whatever the emission order: a counting sort
+// by V into s.byV, then a stable counting sort by U into dst, each over n+1
+// bucket offsets. dst's elements are not touched; it grows at most once, by
+// the number of edges emitted.
+func (s *edgeScratch) appendSorted(dst []Edge) []Edge {
+	raw := s.raw
+	byV := slices.Grow(s.byV[:0], len(raw))[:len(raw)]
+	s.byV = byV
+	n1 := len(s.count) / 2
+	atV, atU := s.count[:n1], s.count[n1:]
+	for _, e := range raw {
+		atV[e.V+1]++
+		atU[e.U+1]++
+	}
+	for k := 1; k < n1; k++ {
+		atV[k] += atV[k-1]
+		atU[k] += atU[k-1]
+	}
+	for _, e := range raw {
+		byV[atV[e.V]] = e
+		atV[e.V]++
+	}
+	base := len(dst)
+	if cap(dst)-base < len(raw) {
+		// One exact-size allocation (slices.Grow takes two under -race).
+		dst = append(make([]Edge, 0, base+len(raw)), dst...)
+	}
+	dst = dst[:base+len(raw)]
+	out := dst[base:]
+	for _, e := range byV {
+		out[atU[e.U]] = e
+		atU[e.U]++
+	}
+	clear(s.count)
+	return dst[:base+len(dedupEdges(out))]
 }
 
 // dedupEdges removes duplicates from a sorted edge slice in place.
@@ -521,7 +594,7 @@ func (g *Graph) VerifyOrder(order []int32) error {
 // changes between similar executions tend to stay inside small windows.
 func (b *Builder) WordClass() (classOf []int32, classes int) {
 	classOf = make([]int32, b.n)
-	for _, op := range b.prog.Ops() {
+	for _, op := range b.ops {
 		switch op.Kind {
 		case prog.Fence:
 			classOf[op.ID] = 0

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"mtracecheck/internal/mcm"
@@ -342,6 +344,59 @@ func TestDynamicEdgesValidation(t *testing.T) {
 	}
 	if _, err := b.DynamicEdges(RF{0: 3}, WS{}); err == nil {
 		t.Error("rf store missing from ws accepted")
+	}
+
+	// Out-of-range op IDs are errors naming the ID, never panics, through
+	// both entry points and in both ws modes.
+	for _, mode := range []WSMode{WSStatic, WSObserved} {
+		b := NewBuilder(p, mcm.TSO, Options{WS: mode})
+		ws := WS{0: {3}, 1: {1}}
+		for _, tc := range []struct {
+			rf RF
+			id string
+		}{{RF{0: 99}, "99"}, {RF{99: 1}, "99"}, {RF{-2: 1}, "-2"}} {
+			if _, err := b.DynamicEdges(tc.rf, ws); err == nil || !strings.Contains(err.Error(), tc.id) {
+				t.Errorf("ws mode %d: DynamicEdges(%v) error = %v, want one naming %s", mode, tc.rf, err, tc.id)
+			}
+		}
+		for _, rf := range [][]int32{{99, 0, 1, 0}, {-1, 0, 99, 0}} {
+			if _, err := b.AppendDynamicEdges(nil, rf, ws); err == nil || !strings.Contains(err.Error(), "99") {
+				t.Errorf("ws mode %d: AppendDynamicEdges(%v) error = %v, want one naming 99", mode, rf, err)
+			}
+		}
+	}
+	bo := NewBuilder(p, mcm.TSO, Options{WS: WSObserved})
+	badWS := WS{0: {3, 99}, 1: {1}}
+	if _, err := bo.DynamicEdges(RF{0: 3, 2: 1}, badWS); err == nil || !strings.Contains(err.Error(), "99") {
+		t.Errorf("DynamicEdges with ws op 99: error = %v, want one naming 99", err)
+	}
+	if _, err := bo.AppendDynamicEdges(nil, []int32{3, 0, 1, 0}, badWS); err == nil || !strings.Contains(err.Error(), "99") {
+		t.Errorf("AppendDynamicEdges with ws op 99: error = %v, want one naming 99", err)
+	}
+}
+
+// TestAppendDynamicEdgesKeepsPrefix: edges are appended after dst's existing
+// elements, which stay untouched, and a dst with room is not reallocated.
+func TestAppendDynamicEdgesKeepsPrefix(t *testing.T) {
+	b := NewBuilder(lb(), mcm.TSO, Options{})
+	rf := []int32{3, 0, 1, 0} // both loads read the other thread's store
+	want := []Edge{{9, 9}, {0, 0}, {1, 2}, {3, 0}}
+	got, err := b.AppendDynamicEdges([]Edge{{9, 9}, {0, 0}}, rf, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("AppendDynamicEdges = %v, want %v", got, want)
+	}
+	dst := make([]Edge, 2, 8)
+	dst[0], dst[1] = Edge{9, 9}, Edge{0, 0}
+	got, err = b.AppendDynamicEdges(dst, rf, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) || &got[0] != &dst[0] {
+		t.Errorf("AppendDynamicEdges into spare capacity = %v (reallocated: %v), want %v in place",
+			got, &got[0] != &dst[0], want)
 	}
 }
 
